@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .constructions import FamilyBundle, build_family, build_family_spec
@@ -20,19 +19,8 @@ from .transfer import (NotProportional, SupportMismatch, align_exact_spectrum,
 from .upst_search import classify_all, exhaustive_rule_out
 
 
-def thread_cap() -> int:
-    """Parallelism cap from QWALK_THREADS; the implementation is currently
-    sequential, so the cap is validated and recorded but never exceeded."""
-    raw = os.environ.get("QWALK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(2)
-    if cap < 1:
-        raise SystemExit(2)
-    return 1
+class FlagError(Exception):
+    """A flag value the command cannot use; reported as exit code 2."""
 
 
 def _load_bundle(args) -> FamilyBundle:
@@ -47,6 +35,12 @@ def _load_bundle(args) -> FamilyBundle:
                 params[key] = val
         return build_family(args.family, **params)
     raise SystemExit("need --family or --matrix")
+
+
+def _check_vertices(args, dim: int) -> None:
+    for flag, v in (("--from", args.frm), ("--to", args.to)):
+        if not 0 <= v < dim:
+            raise FlagError(f"{flag} {v} is out of range for a {dim}-vertex graph")
 
 
 def _out_stream(args):
@@ -105,6 +99,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_pst_check(args) -> int:
     bundle = _load_bundle(args)
+    _check_vertices(args, bundle.matrix.dim)
     dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
     exact = None
     if bundle.exact_spectrum is not None:
@@ -125,6 +120,7 @@ def cmd_pst_check(args) -> int:
 
 def cmd_pgst_check(args) -> int:
     bundle = _load_bundle(args)
+    _check_vertices(args, bundle.matrix.dim)
     dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
     exact = None
     if bundle.exact_spectrum is not None:
@@ -144,6 +140,7 @@ def cmd_pgst_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
+    _check_vertices(args, bundle.matrix.dim)
     dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
     result = fidelity_sweep(dec, args.frm, args.to, args.t_max, args.steps)
     with _out_stream(args) as fh:
@@ -166,17 +163,24 @@ def cmd_search_upst(args) -> int:
     return 0
 
 
-def _parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_m_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    try:
+        lo_m, hi_m = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise FlagError(f"--m {text!r} is not an integer or a range lo..hi")
+    if lo_m < 1:
+        raise FlagError(f"--m {text!r}: m must be at least 1")
+    if lo_m > hi_m:
+        raise FlagError(f"--m {text!r} is an empty range")
+    return range(lo_m, hi_m + 1)
 
 
 def cmd_classify_star(args) -> int:
+    m_values = _parse_m_range(args.m)
     with _out_stream(args) as fh:
         fh.write(CSV_HEADER + "\n")
-        for m in _parse_m_range(args.m):
+        for m in m_values:
             fh.write(classify_star_m(m).csv_row() + "\n")
     return 0
 
@@ -253,9 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    thread_cap()
     try:
         return args.func(args)
+    except FlagError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -302,9 +302,6 @@ class OrthogonalPolynomials:
     roots: np.ndarray
     eigenvectors: np.ndarray
 
-    def evaluate(self, r: int, t):
-        return np.polynomial.polynomial.polyval(t, self.coefficients[r])
-
 
 def orthogonal_polynomials(jm: JacobiMatrix) -> OrthogonalPolynomials:
     """Characteristic polynomials of the leading principal submatrices:

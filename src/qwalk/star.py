@@ -86,8 +86,4 @@ def star_support_surds(m: int) -> tuple[list[Surd], list[Fraction]]:
     return values, turns
 
 
-def classification_rows(m_values) -> list[StarVerdict]:
-    return [classify_star_m(m) for m in m_values]
-
-
 CSV_HEADER = "m,case,pgst,s,h,k"

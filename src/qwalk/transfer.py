@@ -10,7 +10,6 @@ numeric evidence, never to a false certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,12 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SpectralDecomposition, transition_matrix
-from .numtheory import RelationLattice, Surd, relation_lattice
+from .numtheory import RelationLattice, Surd, relation_lattice, xgcd
 
 SUPPORT_TOL = 1e-9
 PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
-M_SEARCH_BOUND = 10_000
 QUARREL_MAX_DENOMINATOR = 128
 TWO_PI = 2 * math.pi
 
@@ -47,10 +45,6 @@ class NotProportional(ValueError):
 
 
 class InconsistentQuarrels(ValueError):
-    pass
-
-
-class SearchBudgetExceeded(RuntimeError):
     pass
 
 
@@ -212,47 +206,44 @@ def _validate_quarrels(dec: SpectralDecomposition, quarrels: QuarrelSet,
 
 def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
                 eigenvalues_exact: Optional[Sequence[Surd]] = None,
-                m_bound: int = M_SEARCH_BOUND,
                 fidelity_tol: float = PST_FIDELITY_TOL,
                 t_max: Optional[float] = None,
                 steps: Optional[int] = None) -> TransferVerdict:
     """Certify perfect state transfer from quarrels.a to quarrels.b.
 
     Exact mode (available when eigenvalues_exact covers the support with
-    symbol-free surds and every quarrel is a rational multiple of 2*pi):
-    solve tau*(theta_r - theta_s) = q_r - q_s + 2*pi*m_rs over consecutive
-    support pairs with a bounded search on the reference winding number;
-    consistency across pairs is decided by exact surd ratios.  A found tau
-    is then verified numerically against the fidelity tolerance.
+    distinct symbol-free surds and every quarrel is a rational multiple of
+    2*pi): solve_pst_congruences decides the phase condition exactly.  No
+    solution is certified absence; the minimal solution tau is verified
+    numerically against the fidelity tolerance before it is certified.
 
-    Numeric mode: fidelity sweep with golden-section refinement; certifies
-    only when the refined maximum clears 1 - fidelity_tol, otherwise
-    reports numeric evidence.  Exhausting the m-search never asserts
-    absence -- it falls through to the numeric mode.
+    Numeric mode (no exact carrier, or a failed verification): fidelity
+    sweep with golden-section refinement; certifies only when the refined
+    maximum clears 1 - fidelity_tol, otherwise reports numeric evidence.
     """
     _validate_quarrels(dec, quarrels)
     a, b = quarrels.a, quarrels.b
     sup = quarrels.support
-    budget_note = ""
     if len(sup) >= 2 and eigenvalues_exact is not None and quarrels.all_rational:
         values = [eigenvalues_exact[r] for r in sup]
-        if all(isinstance(v, Surd) and not v.has_symbols for v in values):
-            try:
-                tau, windings = _exact_pst_search(values,
-                                                  quarrels.rational_parts(),
-                                                  m_bound)
-                u = transition_matrix(dec, tau)
-                fid = abs(u[b, a])
-                alpha = complex(np.exp(1j * (quarrels.phases[0]
-                                             - tau * float(dec.eigenvalues[sup[0]]))))
-                if fid >= 1 - fidelity_tol:
-                    return TransferVerdict(
-                        "PST-certified", time=tau, phase=alpha, fidelity=float(fid),
-                        witness={"windings": windings, "mode": "exact"},
-                        notes="exact ratio-condition solution verified numerically")
-            except SearchBudgetExceeded:
-                budget_note = (f"; exact m-search exhausted (|m| <= {m_bound}), "
-                               "absence not asserted")
+        if (all(isinstance(v, Surd) and not v.has_symbols for v in values)
+                and _strictly_ascending(values)):
+            x, witness = solve_pst_congruences(values, quarrels.rational_parts())
+            if x is None:
+                return TransferVerdict(
+                    "absent-certified", witness={"mode": "exact", **witness},
+                    notes=f"no common transfer time ({witness['criterion']}, "
+                          "decided exactly on rationally recognized quarrels)")
+            tau = TWO_PI * float(x) / float(values[1] - values[0])
+            u = transition_matrix(dec, tau)
+            fid = abs(u[b, a])
+            alpha = complex(np.exp(1j * (quarrels.phases[0]
+                                         - tau * float(dec.eigenvalues[sup[0]]))))
+            if fid >= 1 - fidelity_tol:
+                return TransferVerdict(
+                    "PST-certified", time=tau, phase=alpha, fidelity=float(fid),
+                    witness={"mode": "exact", **witness},
+                    notes="exact phase-congruence solution verified numerically")
     # numeric fallback
     if t_max is None:
         spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0]) or 1.0
@@ -266,46 +257,54 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
             "PST-certified", time=sweep.best_time, phase=complex(u[b, a]),
             fidelity=sweep.best_fidelity,
             witness={"mode": "numeric", "t_max": t_max},
-            notes="numeric fidelity maximum at certification tolerance" + budget_note)
+            notes="numeric fidelity maximum at certification tolerance")
     return TransferVerdict(
         "numeric-evidence", time=sweep.best_time, fidelity=sweep.best_fidelity,
         witness={"mode": "numeric", "t_max": t_max},
-        notes="no PST found in the sweep window; max fidelity reported" + budget_note)
+        notes="no PST found in the sweep window; max fidelity reported")
 
 
-def _exact_pst_search(values: list[Surd], turns: list[Fraction],
-                      m_bound: int) -> tuple[float, list[int]]:
-    """Bounded search for a common tau over consecutive support pairs.
+def _strictly_ascending(values: Sequence[Surd]) -> bool:
+    return all(float(w - v) > 0 for v, w in zip(values, values[1:]))
 
-    For reference pair (0, 1) and winding m0, a common tau exists iff for
-    every other consecutive pair (i, i+1) there is an integer m with
-    (du_i + m) * dtheta_ref == (du_ref + m0) * dtheta_i exactly; the integer
-    is pinned by a surd ratio.  Candidates are tried in increasing tau > 0;
-    exhausting the winding budget raises SearchBudgetExceeded.
+
+def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
+    """Decide exactly whether the phase condition of perfect state transfer
+    has a solution tau > 0, and find the least one.
+
+    values are the support eigenvalues theta_r, strictly ascending, and
+    turns the quarrels u_r as fractions of a full turn.  Transfer at tau
+    needs tau*theta_r - 2*pi*u_r to agree mod 2*pi on the support, i.e. for
+    consecutive differences dtheta_i, du_i and x = tau*dtheta_0/(2*pi):
+    x = du_0 (mod 1) and r_i*x = du_i (mod 1) with r_i = dtheta_i/dtheta_0.
+    An irrational r_i violates the ratio condition; otherwise each
+    congruence is a progression of rationals, intersected exactly.
+
+    Returns (x, {"windings": [...]}) with the least x > 0, where the
+    windings are the integers r_i*x - du_i, or (None, witness) naming the
+    violated criterion.
     """
-    d = len(values)
-    dtheta = [values[i + 1] - values[i] for i in range(d - 1)]
-    du = [turns[i + 1] - turns[i] for i in range(d - 1)]
-    if any(dt.is_zero() for dt in dtheta):
-        raise SearchBudgetExceeded("support values are not distinct")
-    ref_theta, ref_u = dtheta[0], du[0]
-    start = -ref_u  # tau > 0 needs ref_u + m0 > 0 (dtheta sorted ascending)
-    m0_first = math.floor(start) + 1
-    for m0 in range(m0_first, m0_first + m_bound):
-        scale = ref_u + m0
-        windings = [m0]
-        ok = True
-        for i in range(1, d - 1):
-            target = dtheta[i] * scale - ref_theta * du[i]
-            ratio = target.ratio(ref_theta)
-            if ratio is None or ratio.denominator != 1:
-                ok = False
-                break
-            windings.append(int(ratio))
-        if ok:
-            tau = TWO_PI * float(scale) / float(ref_theta)
-            return tau, windings
-    raise SearchBudgetExceeded(f"no common time within |m| <= {m_bound}")
+    if len(values) != len(turns) or len(values) < 2:
+        raise ValueError("need at least two support values, one turn each")
+    if not _strictly_ascending(values):
+        raise ValueError("support values must be strictly ascending")
+    periodic, witness = check_periodicity(values)
+    if not periodic:
+        return None, {"criterion": "ratio-condition", **witness}
+    dtheta = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    du = [Fraction(turns[i + 1]) - Fraction(turns[i]) for i in range(len(values) - 1)]
+    ratios = [Fraction(1)] + [dt.ratio(dtheta[0]) for dt in dtheta[1:]]
+    offset, step = du[0] % 1, Fraction(1)
+    for i in range(1, len(ratios)):
+        merged = _intersect_progressions(offset, step,
+                                         du[i] / ratios[i], 1 / ratios[i])
+        if merged is None:
+            return None, {"criterion": "phase-congruence", "index": i,
+                          "ratio": ratios[i], "du_0": du[0], "du_i": du[i],
+                          "turns": list(turns)}
+        offset, step = merged
+    x = offset or step
+    return x, {"windings": [int(r * x - d) for r, d in zip(ratios, du)]}
 
 
 def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
@@ -413,24 +412,12 @@ def _intersect_progressions(o1: Fraction, p1: Fraction, o2: Fraction, p2: Fracti
     if c % g:
         return None
     # solve a*k - b*j = c; k = k0 mod b/g
-    x, _, _ = _xgcd(a, -b)
+    x, _, _ = xgcd(a, -b)
     k0 = x * (c // g)
     new_step = p1 * (b // g)
     new_offset = o1 + p1 * k0
     new_offset %= new_step
     return new_offset, new_step
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
@@ -639,6 +626,3 @@ def align_exact_spectrum(dec: SpectralDecomposition, values: Sequence[Surd],
         out.append(values[best])
     return out
 
-
-def verdict_to_json_str(verdict: TransferVerdict) -> str:
-    return json.dumps(verdict.to_json(), indent=2, sort_keys=True)

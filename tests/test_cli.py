@@ -133,13 +133,23 @@ def test_unknown_family_is_analysis_failure(capsys):
     assert code == 1
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("QWALK_THREADS", "4")
-    code, out, _ = run_cli(capsys, "analyze", "--family", "oriented-k2")
-    assert code == 0
-    monkeypatch.setenv("QWALK_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["analyze", "--family", "oriented-k2"])
+@pytest.mark.parametrize("command", ["pst-check", "pgst-check", "sweep"])
+@pytest.mark.parametrize("frm, to", [("0", "7"), ("-1", "1")])
+def test_out_of_range_vertex_is_flag_error(capsys, command, frm, to):
+    code, out, err = run_cli(capsys, command, "--family", "oriented-k3",
+                             "--from", frm, "--to", to)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("m_range", ["0..3", "5..3", "x", "2..y", "1.5"])
+def test_classify_star_bad_range_writes_nothing(capsys, m_range):
+    code, out, err = run_cli(capsys, "classify-star", "--m", m_range)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_module_entry_point():

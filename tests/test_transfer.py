@@ -14,7 +14,7 @@ from qwalk.transfer import (InconsistentQuarrels, NotProportional, QuarrelSet,
                             certify_pst, check_periodicity, eigenvalue_support,
                             fidelity_sweep, pgst_verdict, phase_checks,
                             pst_verdict, solve_phase_congruences,
-                            strong_cospectrality)
+                            solve_pst_congruences, strong_cospectrality)
 
 K3 = hermitian_from_entries([[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
 K3_EXACT = [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]
@@ -144,14 +144,107 @@ def test_certify_pst_rejects_inconsistent_quarrels():
         certify_pst(dec, bad)
 
 
-def test_exact_search_budget_downgrades():
-    from qwalk.numtheory import Surd
-    from qwalk.transfer import SearchBudgetExceeded, _exact_pst_search
-    # (0, 1, sqrt(2)) admits no common time: the winding equation forces a
-    # sqrt(2) coefficient that no integer cancels
-    with pytest.raises(SearchBudgetExceeded):
-        _exact_pst_search([Surd(0), Surd(1), Surd.sqrt(2)],
-                          [Fraction(0)] * 3, 50)
+def _three_vertex_matrix(thetas):
+    """Real symmetric matrix with eigenvalues thetas on the eigenbasis
+    (1,1,1)/sqrt(3), (1,-1,0)/sqrt(2), (1,1,-2)/sqrt(6).  Vertex 0 sees
+    every eigenvalue; the pair (0, 1) has quarrels 0, 1/2, 0 turns."""
+    basis = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]], dtype=float)
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    return hermitian_from_entries(basis.T @ np.diag(thetas) @ basis)
+
+
+def test_exact_decision_irrational_ratio_absent():
+    # (0, 1, sqrt(2)) with zero turns (the self pair): the ratio condition
+    # fails, which rules out PST at every time
+    exact = [Surd(0), Surd(1), Surd.sqrt(2)]
+    dec = spectral_decomposition(_three_vertex_matrix([float(v) for v in exact]))
+    quarrels = strong_cospectrality(dec, 0, 0)
+    assert quarrels.rationals == (Fraction(0),) * 3
+    verdict = certify_pst(dec, quarrels, align_exact_spectrum(dec, exact))
+    assert verdict.kind == "absent-certified"
+    assert verdict.witness["mode"] == "exact"
+    assert verdict.witness["criterion"] == "ratio-condition"
+    assert verdict.witness["numerator"] == repr(Surd.sqrt(2))
+
+
+def test_exact_decision_congruence_absent():
+    # path 0-2-1 Laplacian: spectrum (0, 1, 3) is periodic, but the endpoint
+    # quarrels (0, 1/2, 0) need x = 1/2 and 2x = -1/2 (mod 1) at once
+    exact = [Surd(0), Surd(1), Surd(3)]
+    laplacian = _three_vertex_matrix([0, 1, 3])
+    assert np.allclose(laplacian.array, [[1, 0, -1], [0, 1, -1], [-1, -1, 2]])
+    dec = spectral_decomposition(laplacian)
+    quarrels = strong_cospectrality(dec, 0, 1)
+    assert quarrels.rationals == (Fraction(0), Fraction(1, 2), Fraction(0))
+    verdict = certify_pst(dec, quarrels, align_exact_spectrum(dec, exact))
+    assert verdict.kind == "absent-certified"
+    assert verdict.witness["criterion"] == "phase-congruence"
+    assert verdict.witness["index"] == 1
+    assert verdict.witness["ratio"] == 2
+    assert (verdict.witness["du_0"], verdict.witness["du_i"]) == (
+        Fraction(1, 2), Fraction(-1, 2))
+    # the numeric oracle agrees: fidelity stays well below 1
+    assert fidelity_sweep(dec, 0, 1, 60.0, 20_001).best_fidelity < 0.99
+
+
+def test_star_product_pst_absent_certified():
+    from qwalk.constructions import build_family
+    for m in range(1, 31):
+        bundle = build_family("star-product", m=m)
+        dec = spectral_decomposition(bundle.matrix)
+        exact = align_exact_spectrum(dec, bundle.exact_spectrum)
+        for a, b in ((0, 1), (1, 2)):
+            verdict = pst_verdict(dec, a, b, exact)
+            assert verdict.kind == "absent-certified", (m, a, b, verdict.notes)
+
+
+def _scan_windings(values, turns, bound):
+    """Least tau > 0 at which every 2*pi*u_r - tau*theta_r agrees mod 2*pi,
+    trying the reference windings |m| <= bound in floating point."""
+    thetas = [float(v) for v in values]
+    phases = [2 * math.pi * float(u) for u in turns]
+    du0 = float(turns[1] - turns[0])
+    for m in range(-bound, bound + 1):
+        if du0 + m <= 0:
+            continue
+        tau = 2 * math.pi * (du0 + m) / (thetas[1] - thetas[0])
+        shifted = [p - tau * t for p, t in zip(phases, thetas)]
+        if all(angle_close(s, shifted[0], 1e-7) for s in shifted):
+            return tau
+    return None
+
+
+def test_pst_congruences_match_winding_scan():
+    rng = np.random.default_rng(2012)
+    units = [Surd(1), Surd.sqrt(2), Surd.sqrt(3)]
+    outcomes = set()
+    for _ in range(200):
+        unit = units[int(rng.integers(3))]
+        offset = Surd.sqrt(5) if rng.integers(2) else Surd(0)
+        d = int(rng.integers(2, 6))
+        ks = sorted(int(k) for k in rng.choice(np.arange(-6, 7), size=d, replace=False))
+        values = [offset + unit * k for k in ks]
+        if rng.integers(4) == 0:  # break the ratio condition
+            i = int(rng.integers(d))
+            values[i] = values[i] + Surd.sqrt(7) / 10
+            values.sort(key=float)
+        turns = [Fraction(int(rng.integers(12)), int(rng.choice([1, 2, 3, 4, 6])))
+                 for _ in range(d)]
+        x, witness = solve_pst_congruences(values, turns)
+        scan = _scan_windings(values, turns, 200)
+        if x is None:
+            outcomes.add(witness["criterion"])
+            assert scan is None, (values, turns)
+            continue
+        outcomes.add("found")
+        tau = 2 * math.pi * float(x) / float(values[1] - values[0])
+        if x - (turns[1] - turns[0]) <= 200:
+            assert scan is not None and abs(scan - tau) <= 1e-9 * tau, (values, turns)
+        else:
+            assert scan is None
+        windings = witness["windings"]
+        assert len(windings) == d - 1
+    assert outcomes == {"found", "ratio-condition", "phase-congruence"}
 
 
 def test_supports_never_empty():
