@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from .constructions import FamilyBundle, build_family, build_family_spec
@@ -41,6 +42,17 @@ def _check_vertices(args, dim: int) -> None:
     for flag, v in (("--from", args.frm), ("--to", args.to)):
         if not 0 <= v < dim:
             raise FlagError(f"{flag} {v} is out of range for a {dim}-vertex graph")
+
+
+def _check_numbers(args) -> None:
+    """Reject --tol, --t-max and --steps values no command can use."""
+    for flag, attr in (("--tol", "tol"), ("--t-max", "t_max")):
+        value = getattr(args, attr, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise FlagError(f"{flag} {value} must be a finite positive number")
+    steps = getattr(args, "steps", None)
+    if steps is not None and steps < 2:
+        raise FlagError(f"--steps {steps} must be at least 2")
 
 
 def _out_stream(args):
@@ -258,6 +270,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except FlagError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -246,8 +246,8 @@ def rooted_star_product(h_x: HermitianMatrix, m: int) -> RootedStarProduct:
     branches = []
     projectors: list[tuple[float, np.ndarray]] = []
     predicted = []
-    for theta, e_r, mult in zip(dec.eigenvalues, dec.projectors,
-                                dec.multiplicities):
+    for r, (theta, mult) in enumerate(zip(dec.eigenvalues, dec.multiplicities)):
+        e_r = dec.projector(r)
         root = math.sqrt(theta * theta + 4 * m)
         for sign in (+1, -1):
             lam = (theta + sign * root) / 2

@@ -1,24 +1,23 @@
 """Dense complex matrices, Hermitian eigendecomposition with eigenvalue
-clustering into spectral projectors, and spectral-form matrix exponentials.
+clustering, and spectral-form matrix exponentials.
 
-The eigensolver works on the real-symmetric embedding
-[[Re H, -Im H], [Im H, Re H]] of dimension 2n.  Spectral projectors of the
-embedding are themselves embeddings of the complex projectors (they are
-polynomials in the embedded matrix), so each complex projector is read off
-directly from the corresponding real one; eigenvalues come out doubled and
-are deduplicated by the clustering step.
+One complex eigensolve gives orthonormal eigenvectors V, kept as column
+blocks V_r, one per eigenvalue cluster.  Projectors E_r = V_r V_r^* are not
+stored: entries, columns and support norms ||E_r e_v|| = ||V_r^* e_v|| are
+read from the blocks, in O(n^2) space and O(n^3) validation.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 DEFAULT_CLUSTER_TOL = 1e-8
 HERMITIAN_TOL = 1e-12
-PROJECTOR_TOL = 1e-9
+ORTHONORMALITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 MAX_KRON_DIM = 4096
 
@@ -144,120 +143,120 @@ def hermitian_from_entries(entries, tol: float = HERMITIAN_TOL) -> HermitianMatr
 
 
 class SpectralDecomposition:
-    """Distinct eigenvalues with orthogonal projectors: H = sum theta_r E_r."""
+    """H = sum_r theta_r E_r with E_r = V_r V_r^*: the distinct eigenvalues
+    theta_r, ascending, and the orthonormal eigenvector matrix V whose
+    consecutive column blocks V_r have the multiplicities as widths."""
 
-    def __init__(self, eigenvalues, projectors, cluster_tol, ambiguous_gaps=()):
+    def __init__(self, eigenvalues, vectors, multiplicities, cluster_tol,
+                 ambiguous_gaps=()):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.projectors = []
-        for p in projectors:
-            arr = np.asarray(p, dtype=complex)
-            arr.setflags(write=False)
-            self.projectors.append(arr)
+        self.vectors = np.array(vectors, dtype=complex)
+        self.vectors.setflags(write=False)
+        self.offsets = np.cumsum([0, *multiplicities])
+        if (len(self.offsets) != len(self.eigenvalues) + 1
+                or np.any(np.diff(self.offsets) < 1)
+                or self.vectors.shape != (self.offsets[-1],) * 2):
+            raise ValueError("need a square eigenvector matrix and one "
+                             "positive multiplicity per eigenvalue")
         self.cluster_tol = float(cluster_tol)
         self.ambiguous_gaps = tuple(ambiguous_gaps)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
     @property
     def multiplicities(self) -> list[int]:
-        return [int(round(float(np.trace(p).real))) for p in self.projectors]
+        return np.diff(self.offsets).tolist()
+
+    def block(self, r: int) -> np.ndarray:
+        return self.vectors[:, self.offsets[r]:self.offsets[r + 1]]
+
+    def projector(self, r: int) -> np.ndarray:
+        """E_r as a dense n x n matrix; for closed forms and checks only."""
+        v = self.block(r)
+        return v @ v.conj().T
+
+    def entries(self, b: int, a: int) -> np.ndarray:
+        """E_r[b, a] for every r: products of rows b and a of the blocks."""
+        return np.add.reduceat(self.vectors[b] * self.vectors[a].conj(),
+                               self.offsets[:-1])
+
+    @cached_property
+    def support_norms(self) -> np.ndarray:
+        """n x d matrix of ||E_r e_v|| = ||V_r^* e_v||, computed once."""
+        return np.sqrt(np.add.reduceat(np.abs(self.vectors) ** 2,
+                                       self.offsets[:-1], axis=1))
+
+    def support(self, vertex: int, tol: float) -> tuple[int, ...]:
+        """Indices r with ||E_r e_vertex|| above tol."""
+        return tuple(np.flatnonzero(self.support_norms[vertex] > tol).tolist())
 
     def matrix(self) -> np.ndarray:
-        return sum(t * p for t, p in zip(self.eigenvalues, self.projectors))
+        """V Lambda V^*, as conj(conj(V) Lambda V^T): one n x n temporary."""
+        thetas = np.repeat(self.eigenvalues, self.multiplicities)
+        m = (self.vectors.conj() * thetas) @ self.vectors.T
+        return np.conjugate(m, out=m)
 
-    def validate(self, projector_tol: float = PROJECTOR_TOL,
-                 reconstruction_tol: float = RECONSTRUCTION_TOL,
-                 against=None) -> None:
-        """Check the projector algebra, completeness, Hermitian-ness, strict
-        eigenvalue separation, and (optionally) reconstruction of a target."""
-        d = len(self.eigenvalues)
-        n = self.dim
-        for r in range(d):
-            er = self.projectors[r]
-            if _max_abs(er - er.conj().T) > projector_tol:
-                raise EigensolverFailure(f"projector {r} is not Hermitian")
-            for s in range(r, d):
-                prod = er @ self.projectors[s]
-                target = er if r == s else 0
-                if _max_abs(prod - target) > projector_tol:
-                    raise EigensolverFailure(
-                        f"projector algebra violated at pair ({r}, {s})")
-        if _max_abs(sum(self.projectors) - np.eye(n)) > projector_tol:
-            raise EigensolverFailure("projectors do not resolve the identity")
+    def validate(self, h) -> None:
+        """Check, in O(n^3), that V is orthonormal, that distinct eigenvalues
+        are more than cluster_tol apart, and that sum_r theta_r E_r
+        reconstructs h."""
+        gram = self.vectors.conj().T @ self.vectors
+        gram[np.diag_indices(self.dim)] -= 1
+        err = _max_abs(gram)
+        if err > ORTHONORMALITY_TOL:
+            raise EigensolverFailure(
+                f"eigenvectors are not orthonormal (error {err:.3e})")
         gaps = np.diff(self.eigenvalues)
         if len(gaps) and float(np.min(gaps)) <= self.cluster_tol:
             raise EigensolverFailure("eigenvalue clusters are not separated")
-        if against is not None:
-            err = _max_abs(self.matrix() - np.asarray(against))
-            if err > reconstruction_tol:
-                raise EigensolverFailure(
-                    f"reconstruction error {err:.3e} exceeds {reconstruction_tol:.1e}")
+        residual = self.matrix()
+        residual -= np.asarray(h)
+        err = _max_abs(residual)
+        if err > RECONSTRUCTION_TOL:
+            raise EigensolverFailure(
+                f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
 
 
-def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                           validate: bool = True) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, clustering nearby eigenvalues into
-    a single projector each (multiplicities detected, never assumed)."""
+def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
+                           ) -> SpectralDecomposition:
+    """Eigendecompose a Hermitian matrix, clustering sorted eigenvalues with
+    consecutive gaps at most cluster_tol into one block each (multiplicities
+    detected, never assumed), and validate the result against the input."""
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    arr = np.asarray(h, dtype=complex)
-    if isinstance(h, HermitianMatrix):
-        herm = h
-    else:
-        herm = hermitian_from_entries(arr)
+    herm = h if isinstance(h, HermitianMatrix) else hermitian_from_entries(h)
     a = herm.array
-    n = herm.dim
-    embed = np.block([[a.real, -a.imag], [a.imag, a.real]])
     try:
-        w, v = np.linalg.eigh(embed)
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
 
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, 2 * n):
-        if w[i] - w[clusters[-1][-1]] <= cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1))
+    widths = np.diff(np.append(starts, len(w)))
+    eigenvalues = np.add.reduceat(w, starts) / widths
 
-    eigenvalues = []
-    projectors = []
-    for idx in clusters:
-        block = v[:, idx]
-        real_proj = block @ block.T
-        e = real_proj[:n, :n] + 1j * real_proj[n:, :n]
-        e = (e + e.conj().T) / 2
-        eigenvalues.append(float(np.mean(w[idx])))
-        projectors.append(e)
-
-    ambiguous = []
-    for r in range(len(eigenvalues) - 1):
-        gap = eigenvalues[r + 1] - eigenvalues[r]
-        if gap < 10 * cluster_tol:
-            ambiguous.append((r, r + 1, gap))
+    ambiguous = [(r, r + 1, float(gap)) for r, gap in enumerate(np.diff(eigenvalues))
+                 if gap < 10 * cluster_tol]
     if ambiguous:
         warnings.warn(
             f"{len(ambiguous)} eigenvalue gap(s) within 10x cluster_tol; "
             "clustering may be ambiguous", ClusterAmbiguityWarning)
 
-    dec = SpectralDecomposition(eigenvalues, projectors, cluster_tol, ambiguous)
-    if validate:
-        dec.validate(against=a)
+    dec = SpectralDecomposition(eigenvalues, v, widths, cluster_tol, ambiguous)
+    del v  # dec holds its own copy; free this one before the O(n^3) checks
+    dec.validate(a)
     return dec
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> ComplexMatrix:
-    """U(t) = sum_r exp(-i t theta_r) E_r."""
-    n = dec.dim
-    u = np.zeros((n, n), dtype=complex)
-    for theta, proj in zip(dec.eigenvalues, dec.projectors):
-        u += np.exp(-1j * t * theta) * proj
-    return ComplexMatrix(u)
+    """U(t) = V exp(-i t Lambda) V^* = sum_r exp(-i t theta_r) E_r."""
+    phases = np.exp(-1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
+    return ComplexMatrix((dec.vectors * phases) @ dec.vectors.conj().T)
 
 
 def kron(a, b, max_dim: int = MAX_KRON_DIM) -> ComplexMatrix:

@@ -17,12 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, transition_matrix
+from .linalg import SpectralDecomposition
 from .numtheory import RelationLattice, Surd, relation_lattice, xgcd
 
 SUPPORT_TOL = 1e-9
 PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
+PEAK_TIE_TOL = 1e-9
+SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once
 QUARREL_MAX_DENOMINATOR = 128
 TWO_PI = 2 * math.pi
 
@@ -67,9 +69,7 @@ def eigenvalue_support(dec: SpectralDecomposition, vertex: int,
                        support_tol: float = SUPPORT_TOL) -> EigenvalueSupport:
     if not 0 <= vertex < dec.dim:
         raise IndexError(f"vertex {vertex} out of range for dim {dec.dim}")
-    idx = tuple(r for r, p in enumerate(dec.projectors)
-                if np.linalg.norm(p[:, vertex]) > support_tol)
-    return EigenvalueSupport(vertex, idx)
+    return EigenvalueSupport(vertex, dec.support(vertex, support_tol))
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,30 @@ def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int,
         return QuarrelSet(a, b, sup_a.indices,
                           tuple(0.0 for _ in sup_a.indices),
                           tuple(zero for _ in sup_a.indices))
+    inner = dec.entries(b, a)  # <E_r e_b, E_r e_a>
+    norms = dec.support_norms
     phases, rationals = [], []
     for r in sup_a.indices:
-        col_a = dec.projectors[r][:, a]
-        col_b = dec.projectors[r][:, b]
-        inner = np.vdot(col_b, col_a)
-        q = float(np.angle(inner)) % TWO_PI
-        residual = float(np.max(np.abs(col_a - np.exp(1j * q) * col_b)))
+        # an inner product at noise level relative to the column norms has
+        # an arbitrary angle; the columns are far from proportional anyway
+        if abs(inner[r]) > tol * norms[a, r] * norms[b, r]:
+            q = float(np.angle(inner[r])) % TWO_PI
+        else:
+            q = 0.0
+        residual = _column_residual(dec, r, a, b, q)
         if residual > tol:
             raise NotProportional(a, b, r, residual)
         phases.append(q)
         rationals.append(_recognize_turn(q, max_denominator))
     return QuarrelSet(a, b, sup_a.indices, tuple(phases), tuple(rationals))
+
+
+def _column_residual(dec: SpectralDecomposition, r: int, a: int, b: int,
+                     q: float) -> float:
+    """max_i |(E_r e_a - exp(i q) E_r e_b)_i|, with the columns formed from
+    the block V_r on demand."""
+    v = dec.block(r)
+    return float(np.max(np.abs(v @ (v[a].conj() - np.exp(1j * q) * v[b].conj()))))
 
 
 @dataclass
@@ -193,13 +205,10 @@ def _jsonable(obj):
 
 def _validate_quarrels(dec: SpectralDecomposition, quarrels: QuarrelSet,
                        tol: float = PROPORTIONALITY_TOL) -> None:
-    sup = eigenvalue_support(dec, quarrels.a).indices
-    if sup != quarrels.support:
+    if dec.support(quarrels.a, SUPPORT_TOL) != quarrels.support:
         raise InconsistentQuarrels("quarrel support does not match decomposition")
     for r, q in zip(quarrels.support, quarrels.phases):
-        col_a = dec.projectors[r][:, quarrels.a]
-        col_b = dec.projectors[r][:, quarrels.b]
-        if float(np.max(np.abs(col_a - np.exp(1j * q) * col_b))) > tol:
+        if _column_residual(dec, r, quarrels.a, quarrels.b, q) > tol:
             raise InconsistentQuarrels(
                 f"stored quarrel {q} fails at eigenvalue index {r}")
 
@@ -235,8 +244,7 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
                     notes=f"no common transfer time ({witness['criterion']}, "
                           "decided exactly on rationally recognized quarrels)")
             tau = TWO_PI * float(x) / float(values[1] - values[0])
-            u = transition_matrix(dec, tau)
-            fid = abs(u[b, a])
+            fid = abs(transfer_amplitude(dec, a, b)(tau)[0])
             alpha = complex(np.exp(1j * (quarrels.phases[0]
                                          - tau * float(dec.eigenvalues[sup[0]]))))
             if fid >= 1 - fidelity_tol:
@@ -252,9 +260,9 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
         steps = max(2001, int(t_max * 40) + 1)
     sweep = fidelity_sweep(dec, a, b, t_max, steps)
     if sweep.best_fidelity >= 1 - fidelity_tol:
-        u = transition_matrix(dec, sweep.best_time)
+        phase = complex(transfer_amplitude(dec, a, b)(sweep.best_time)[0])
         return TransferVerdict(
-            "PST-certified", time=sweep.best_time, phase=complex(u[b, a]),
+            "PST-certified", time=sweep.best_time, phase=phase,
             fidelity=sweep.best_fidelity,
             witness={"mode": "numeric", "t_max": t_max},
             notes="numeric fidelity maximum at certification tolerance")
@@ -492,7 +500,7 @@ class SweepResult:
     fidelities: np.ndarray
     best_time: float
     best_fidelity: float
-    refined: list[tuple[float, float]]
+    refined: list[tuple[float, float]]  # (t, fidelity) per refined peak
 
     def to_csv(self, fh) -> None:
         fh.write("t,fidelity\n")
@@ -501,9 +509,9 @@ class SweepResult:
 
 
 def transfer_amplitude(dec: SpectralDecomposition, a: int, b: int):
-    """Closure t -> U(t)[b, a] built from the spectral data."""
+    """Closure t -> U(t)[b, a] = sum_r exp(-i t theta_r) E_r[b, a]."""
     thetas = np.asarray(dec.eigenvalues)
-    coeffs = np.array([p[b, a] for p in dec.projectors])
+    coeffs = dec.entries(b, a)
 
     def amp(t):
         t = np.asarray(t, dtype=float)
@@ -514,50 +522,70 @@ def transfer_amplitude(dec: SpectralDecomposition, a: int, b: int):
 
 def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
                    t_max: float, steps: int,
-                   refine_top: int = 5, refine_iters: int = 60,
-                   chunk: int = 262_144) -> SweepResult:
-    """Uniform fidelity grid on [0, t_max] plus golden-section refinement
-    around the best grid points; deterministic for fixed arguments."""
+                   refine_top: int = 5, refine_iters: int = 60) -> SweepResult:
+    """Uniform fidelity grid on [0, t_max], refined by golden-section search
+    and reported at the earliest peak that ties the best; deterministic for
+    fixed arguments.
+
+    Refined are the refine_top best grid points and every grid peak within
+    slope*spacing/2 of the grid maximum, where slope = sum_r |E_r[b, a]|
+    |theta_r - mid| bounds |d/dt U(t)[b, a]| up to a global phase, so no
+    lower grid peak can hide the maximum.  The reported time is the earliest
+    refined time whose fidelity is within PEAK_TIE_TOL of the best one.
+    """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     amp = transfer_amplitude(dec, a, b)
+    chunk = max(1, SWEEP_CHUNK_ENTRIES // len(dec))
+
+    def fidelity(t):
+        out = np.empty(len(t))
+        for lo in range(0, len(t), chunk):
+            out[lo:lo + chunk] = np.abs(amp(t[lo:lo + chunk]))
+        return out
+
     times = np.linspace(0.0, t_max, steps)
-    fid = np.empty(steps)
-    for lo in range(0, steps, chunk):
-        hi = min(lo + chunk, steps)
-        fid[lo:hi] = np.abs(amp(times[lo:hi]))
+    fid = fidelity(times)
     spacing = t_max / (steps - 1)
-    order = np.argsort(fid)[::-1][:refine_top]
-    refined = []
-    best_t, best_f = float(times[order[0]]), float(fid[order[0]])
-    for idx in order:
-        lo = max(0.0, float(times[idx]) - spacing)
-        hi = min(t_max, float(times[idx]) + spacing)
-        t_star, f_star = _golden_max(lambda t: float(np.abs(amp([t]))[0]),
-                                     lo, hi, refine_iters)
-        refined.append((t_star, f_star))
-        if f_star > best_f:
-            best_t, best_f = t_star, f_star
-    return SweepResult(times, fid, best_t, best_f, refined)
+    thetas = dec.eigenvalues
+    slope = float(np.sum(np.abs(dec.entries(b, a))
+                         * np.abs(thetas - (thetas[0] + thetas[-1]) / 2)))
+    near = fid >= fid.max() - slope * spacing / 2
+    near[1:] &= fid[1:] > fid[:-1]
+    near[:-1] &= fid[:-1] >= fid[1:]
+    near[np.argsort(fid)[::-1][:refine_top]] = True
+    idx = np.flatnonzero(near)
+    t_ref, f_ref = _golden_max(fidelity, np.maximum(times[idx] - spacing, 0.0),
+                               np.minimum(times[idx] + spacing, t_max), refine_iters)
+    keep_grid = fid[idx] >= f_ref
+    t_ref = np.where(keep_grid, times[idx], t_ref)
+    f_ref = np.where(keep_grid, fid[idx], f_ref)
+    ties = np.flatnonzero(f_ref >= f_ref.max() - PEAK_TIE_TOL)
+    pick = ties[np.argmin(t_ref[ties])]
+    return SweepResult(times, fid, float(t_ref[pick]), float(f_ref[pick]),
+                       list(zip(t_ref.tolist(), f_ref.tolist())))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
+                iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of f on each interval [lo_k, hi_k] at
+    once; f maps an array of times to an array of values."""
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        left = fc > fd  # the maximum lies in [a, d]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        kept = np.where(left, fc, fd)
+        c, d = (np.where(left, b - invphi * (b - a), d),
+                np.where(left, c, a + invphi * (b - a)))
+        fx = f(np.where(left, c, d))
+        fc, fd = np.where(left, fx, kept), np.where(left, kept, fx)
     mid = (a + b) / 2
     return mid, f(mid)
 

@@ -125,10 +125,7 @@ def upst_necessary_conditions(h: HermitianMatrix,
     if not simple:
         return NecessaryConditions(False, False, False,
                                    failure="degenerate spectrum")
-    flat = all(
-        float(np.max(np.abs(np.sqrt(np.abs(np.diag(p).real)) - 1 / math.sqrt(n))))
-        <= FLAT_TOL
-        for p in dec.projectors)
+    flat = float(np.max(np.abs(dec.support_norms - 1 / math.sqrt(n)))) <= FLAT_TOL
     if not flat:
         return NecessaryConditions(True, False, False,
                                    failure="eigenvectors not flat")

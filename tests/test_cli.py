@@ -144,6 +144,26 @@ def test_out_of_range_vertex_is_flag_error(capsys, command, frm, to):
     assert "out of range" in err
 
 
+NUMBER_FLAG_CASES = (
+    [(cmd, "--tol", v) for cmd in ("construct", "analyze", "pst-check",
+                                   "pgst-check", "sweep")
+     for v in ("0", "-1e-8", "nan", "inf")]
+    + [(cmd, "--t-max", v) for cmd in ("pst-check", "sweep") for v in ("0", "-1", "nan")]
+    + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")])
+
+
+@pytest.mark.parametrize("command, flag, value", NUMBER_FLAG_CASES)
+def test_bad_number_flag_is_flag_error(capsys, command, flag, value):
+    # oriented-k3 is decided on the exact path, which never reads the sweep
+    # flags: they are still checked before any work
+    vertices = () if command in ("construct", "analyze") else ("--from", "0", "--to", "1")
+    code, out, err = run_cli(capsys, command, "--family", "oriented-k3",
+                             *vertices, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+
+
 @pytest.mark.parametrize("m_range", ["0..3", "5..3", "x", "2..y", "1.5"])
 def test_classify_star_bad_range_writes_nothing(capsys, m_range):
     code, out, err = run_cli(capsys, "classify-star", "--m", m_range)

@@ -148,8 +148,8 @@ def test_upst_circulant_3_cyclic_shift():
 def test_upst_circulant_flat_projectors():
     circ = upst_circulant(5, Fraction(1, 2), Fraction(1, 3), 2)
     dec = spectral_decomposition(circ.matrix)
-    for proj in dec.projectors:
-        assert np.max(np.abs(np.abs(proj) - 1 / 5)) < 1e-9
+    for r in range(len(dec)):
+        assert np.max(np.abs(np.abs(dec.projector(r)) - 1 / 5)) < 1e-9
 
 
 def test_upst_circulant_errors():

@@ -5,9 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from qwalk.constructions import build_family
 from qwalk.linalg import (ClusterAmbiguityWarning, ComplexMatrix,
-                          DimensionOverflow, HermitianMatrix, NotHermitian,
-                          NotSquare, hermitian_from_entries, kron,
+                          DimensionOverflow, EigensolverFailure,
+                          HermitianMatrix, NotHermitian, NotSquare,
+                          SpectralDecomposition, hermitian_from_entries, kron,
                           spectral_decomposition, transition_matrix)
 
 K3_MATRIX = [[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]]
@@ -48,7 +50,8 @@ def test_k3_oriented_triangle_rank_one_projectors():
     dec = spectral_decomposition(hermitian_from_entries(K3_MATRIX))
     root3 = math.sqrt(3)
     assert np.allclose(dec.eigenvalues, [-root3, 0.0, root3], atol=1e-9)
-    for proj in dec.projectors:
+    for r in range(len(dec)):
+        proj = dec.projector(r)
         assert np.allclose(np.trace(proj), 1.0, atol=1e-9)  # rank one
         assert np.allclose(np.diag(proj), 1 / 3, atol=1e-9)
 
@@ -56,7 +59,7 @@ def test_k3_oriented_triangle_rank_one_projectors():
 def test_zero_matrix_single_cluster():
     dec = spectral_decomposition(np.zeros((4, 4)))
     assert list(dec.eigenvalues) == [0.0]
-    assert np.allclose(dec.projectors[0], np.eye(4))
+    assert np.allclose(dec.projector(0), np.eye(4))
     assert dec.multiplicities == [4]
 
 
@@ -75,7 +78,7 @@ def test_degenerate_cluster_detected_not_assumed():
     h = hermitian_from_entries(np.diag([1.0, 1.0, 2.0]))
     dec = spectral_decomposition(h)
     assert dec.multiplicities == [2, 1]
-    assert len(dec.projectors) == 2
+    assert len(dec) == 2
 
 
 def test_cluster_ambiguity_flagged():
@@ -99,11 +102,60 @@ def test_projector_algebra_and_reconstruction_random():
         d = len(dec.eigenvalues)
         for r in range(d):
             for s in range(d):
-                product = dec.projectors[r] @ dec.projectors[s]
-                target = dec.projectors[r] if r == s else 0
+                product = dec.projector(r) @ dec.projector(s)
+                target = dec.projector(r) if r == s else 0
                 assert np.max(np.abs(product - target)) <= 1e-9
-        assert np.max(np.abs(sum(dec.projectors) - np.eye(n))) <= 1e-9
+        assert np.max(np.abs(sum(dec.projector(r) for r in range(d))
+                             - np.eye(n))) <= 1e-9
         assert np.max(np.abs(dec.matrix() - h.array)) <= 1e-8
+
+
+def test_validate_rejects_non_orthonormal_block():
+    h = np.diag([1.0, 2.0])
+    dec = SpectralDecomposition([1.0, 2.0], [[1, 1e-6], [0, 1]], [1, 1], 1e-8)
+    with pytest.raises(EigensolverFailure, match="orthonormal"):
+        dec.validate(h)
+
+
+def test_validate_rejects_wrong_eigenvalue():
+    h = np.diag([1.0, 2.0])
+    SpectralDecomposition([1.0, 2.0], np.eye(2), [1, 1], 1e-8).validate(h)
+    dec = SpectralDecomposition([1.0, 2.0 + 1e-6], np.eye(2), [1, 1], 1e-8)
+    with pytest.raises(EigensolverFailure, match="reconstruction"):
+        dec.validate(h)
+
+
+def test_validate_rejects_merged_clusters():
+    # two blocks closer than cluster_tol should have been one
+    h = np.diag([0.0, 1e-10])
+    dec = SpectralDecomposition([0.0, 1e-10], np.eye(2), [1, 1], 1e-8)
+    with pytest.raises(EigensolverFailure, match="not separated"):
+        dec.validate(h)
+    # one block holding two distinct eigenvalues does not reconstruct h
+    dec = SpectralDecomposition([0.5], np.eye(2), [2], 1e-8)
+    with pytest.raises(EigensolverFailure, match="reconstruction"):
+        dec.validate(np.diag([0.0, 1.0]))
+
+
+def test_multiplicities_on_degenerate_spectra():
+    assert spectral_decomposition(np.eye(4)).multiplicities == [4]
+    cycle = build_family("oriented-cycle", n=6).matrix
+    dec = spectral_decomposition(cycle)
+    assert dec.multiplicities == [2, 2, 2]
+    for r in range(len(dec)):
+        assert abs(np.trace(dec.projector(r)).real - 2) <= 1e-9
+
+
+def test_random_256_decomposes_in_quadratic_space():
+    rng = np.random.default_rng(256)
+    n = 256
+    h = random_hermitian(rng, n)
+    dec = spectral_decomposition(h)  # validates against h
+    assert sum(dec.multiplicities) == n
+    assert np.max(np.abs(dec.matrix() - h.array)) <= 1e-8
+    assert dec.support_norms.shape == (n, len(dec))
+    held = sum(v.nbytes for v in vars(dec).values() if isinstance(v, np.ndarray))
+    assert held <= 32 * n * n  # V (16 n^2 bytes) and the support norms
 
 
 # --- transition matrices ------------------------------------------------------
@@ -180,8 +232,8 @@ def test_tensor_factor_exponential_identity():
     dec_x = spectral_decomposition(h_x)
     dec_j = spectral_decomposition(j4)
     rhs = np.zeros((8, 8), dtype=complex)
-    for theta, proj in zip(dec_x.eigenvalues, dec_x.projectors):
-        rhs += np.kron(proj, transition_matrix(dec_j, t * theta).array)
+    for r, theta in enumerate(dec_x.eigenvalues):
+        rhs += np.kron(dec_x.projector(r), transition_matrix(dec_j, t * theta).array)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qwalk.constructions import (one_way_family_4, oriented_k3,
+from qwalk.constructions import (build_family, one_way_family_4, oriented_k3,
                                  oriented_to_hermitian, rooted_star_product,
                                  upst_circulant)
 from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
@@ -12,7 +12,8 @@ from qwalk.numtheory import PI, Surd, Transcendental, relation_lattice
 from qwalk.transfer import (InconsistentQuarrels, NotProportional, QuarrelSet,
                             SupportMismatch, align_exact_spectrum, certify_pgst,
                             certify_pst, check_periodicity, eigenvalue_support,
-                            fidelity_sweep, pgst_verdict, phase_checks,
+                            PEAK_TIE_TOL, fidelity_sweep, pgst_verdict,
+                            phase_checks,
                             pst_verdict, solve_phase_congruences,
                             solve_pst_congruences, strong_cospectrality)
 
@@ -266,7 +267,7 @@ def test_quarrel_reconstruction_consistency():
     rebuilt = np.zeros(3, dtype=complex)
     for r, phase in zip(q.support, q.phases):
         rebuilt += (np.exp(1j * (phase - tau * dec.eigenvalues[r]))
-                    * dec.projectors[r][:, 2])
+                    * dec.projector(r)[:, 2])
     direct = transition_matrix(dec, tau).array[:, 0]
     assert np.max(np.abs(rebuilt - direct)) <= 1e-7
 
@@ -409,6 +410,79 @@ def test_sweep_deterministic():
     b = fidelity_sweep(dec, 0, 1, 10.0, 5001)
     assert a.best_time == b.best_time
     assert a.best_fidelity == b.best_fidelity
+
+
+def _grid_argmax_rule(dec, a, b, t_max, steps, refine_top=5):
+    # the former rule: the grid maximum, replaced by the best golden-section
+    # refinement around the refine_top best grid points
+    from qwalk.transfer import transfer_amplitude
+    amp = transfer_amplitude(dec, a, b)
+    times = np.linspace(0.0, t_max, steps)
+    fid = np.abs(amp(times))
+    spacing = t_max / (steps - 1)
+    best_f = float(fid.max())
+    for idx in np.argsort(fid)[::-1][:refine_top]:
+        lo, hi = max(0.0, times[idx] - spacing), min(t_max, times[idx] + spacing)
+        invphi = (math.sqrt(5) - 1) / 2
+        for _ in range(60):
+            c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            if abs(amp([c])[0]) > abs(amp([d])[0]):
+                hi = d
+            else:
+                lo = c
+        best_f = max(best_f, float(abs(amp([(lo + hi) / 2])[0])))
+    return best_f
+
+
+def test_sweep_reports_earliest_of_equal_peaks():
+    # the oriented 7-cube has PST between antipodal vertices at every odd
+    # multiple of pi/2; the reported time is the first one
+    dec = spectral_decomposition(build_family("hypercube", m=3).matrix)
+    for a in (0, 5, 77):
+        sweep = fidelity_sweep(dec, a, a ^ 127, 50.0, 2001)
+        assert abs(sweep.best_time - math.pi / 2) <= 1e-6
+        assert sweep.best_fidelity >= 1 - 1e-9
+        verdict = pst_verdict(dec, a, a ^ 127)
+        assert verdict.kind == "PST-certified"
+        assert abs(verdict.time - math.pi / 2) <= 1e-6
+
+
+def test_numeric_pst_on_oriented_cycle_reports_pi_over_2():
+    dec = spectral_decomposition(build_family("oriented-cycle", n=4).matrix)
+    verdict = pst_verdict(dec, 0, 2)
+    assert verdict.kind == "PST-certified"
+    assert verdict.witness["mode"] == "numeric"
+    assert abs(verdict.time - math.pi / 2) <= 1e-6
+
+
+def test_earliest_peak_never_below_grid_argmax_rule():
+    rng = np.random.default_rng(31)
+    cases = [(k3_dec(), 0, 1, 10.0, 2001),
+             (spectral_decomposition(build_family("hypercube", m=3).matrix),
+              3, 124, 100.0, 20_001)]
+    for n in (5, 12, 32):
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dec = spectral_decomposition(hermitian_from_entries((raw + raw.conj().T) / 2))
+        cases.append((dec, 0, n - 1, 100.0, 20_001))
+    for dec, a, b, t_max, steps in cases:
+        sweep = fidelity_sweep(dec, a, b, t_max, steps)
+        assert sweep.best_fidelity >= _grid_argmax_rule(dec, a, b, t_max, steps) - PEAK_TIE_TOL
+        assert sweep.best_fidelity >= float(np.max(sweep.fidelities))
+        assert all(f <= sweep.best_fidelity + PEAK_TIE_TOL
+                   for t, f in sweep.refined if t < sweep.best_time)
+
+
+def test_not_proportional_witness_ignores_noise_angle():
+    # columns of the vertices 0 and 3 of the oriented 6-cycle are orthogonal
+    # in every eigenspace: E_0 e_0 = (w^j + w^2j)/6 and E_0 e_3 = (-w^j + w^2j)/6
+    dec = spectral_decomposition(build_family("oriented-cycle", n=6).matrix)
+    with pytest.raises(NotProportional) as err:
+        strong_cospectrality(dec, 0, 3)
+    assert err.value.index == 0
+    assert abs(err.value.residual - 1 / 3) <= 1e-12
+    verdict = pst_verdict(dec, 0, 3)
+    assert verdict.kind == "absent-certified"
+    assert abs(verdict.witness["residual"] - 1 / 3) <= 1e-12
 
 
 # --- phase checks ---------------------------------------------------------------------
