@@ -109,45 +109,39 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_pst_check(args) -> int:
+def _transfer_check(args, decide) -> int:
+    """Shared body of pst-check and pgst-check: decompose, align the exact
+    spectrum when the family has one, decide(bundle, dec, exact) and dump
+    the verdict."""
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
     dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
     exact = None
     if bundle.exact_spectrum is not None:
         exact = align_exact_spectrum(dec, bundle.exact_spectrum)
-    kwargs = {}
-    if args.t_max is not None:
-        kwargs["t_max"] = args.t_max
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    verdict = pst_verdict(dec, args.frm, args.to, exact, **kwargs)
+    verdict = decide(bundle, dec, exact)
     if bundle.notes:
         verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
     with _out_stream(args) as fh:
         json.dump(verdict.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
+
+
+def cmd_pst_check(args) -> int:
+    kwargs = {k: getattr(args, k) for k in ("t_max", "steps")
+              if getattr(args, k) is not None}
+    return _transfer_check(args, lambda bundle, dec, exact: pst_verdict(
+        dec, args.frm, args.to, exact, **kwargs))
 
 
 def cmd_pgst_check(args) -> int:
-    bundle = _load_bundle(args)
-    _check_vertices(args, bundle.matrix.dim)
-    dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
-    exact = None
-    if bundle.exact_spectrum is not None:
-        exact = align_exact_spectrum(dec, bundle.exact_spectrum)
-    lattice = None
-    product = bundle.extra.get("product")
-    if product is not None and hasattr(product, "relation_superlattice"):
-        lattice = product.relation_superlattice()
-    verdict = pgst_verdict(dec, args.frm, args.to, exact, lattice)
-    if bundle.notes:
-        verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
-    with _out_stream(args) as fh:
-        json.dump(verdict.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    def decide(bundle, dec, exact):
+        product = bundle.extra.get("product")
+        lattice = (product.relation_superlattice()
+                   if hasattr(product, "relation_superlattice") else None)
+        return pgst_verdict(dec, args.frm, args.to, exact, lattice)
+    return _transfer_check(args, decide)
 
 
 def cmd_sweep(args) -> int:

@@ -19,6 +19,8 @@ from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 
 TWO_PI = 2 * math.pi
+ODD_INTEGER_TOL = 1e-8  # c4_tensor_construction's base spectrum check
+CIRCULANT_TOL = 1e-10
 
 
 class SpectrumNotOddInteger(ValueError):
@@ -130,19 +132,19 @@ SIGNED_SHIFT_4 = np.array([[0, -1, 0, 0],
                            [-1, 0, 0, 0]], dtype=complex)
 
 
-def c4_tensor_construction(h_x: HermitianMatrix,
-                           tol: float = 1e-8) -> HermitianMatrix:
+def c4_tensor_construction(h_x: HermitianMatrix) -> HermitianMatrix:
     """H_Y = I_n (x) H_C4 + H_X (x) J_4, requiring every eigenvalue of H_X
-    to sit within tol of an odd integer.
+    to sit within ODD_INTEGER_TOL of an odd integer.
 
     Vertex 4h is sent to 4h+3, 4h+2, 4h+1 at times pi/4, pi/2, 3pi/4 in
     every block (0-based labels)."""
     dec = spectral_decomposition(h_x)
     for theta in dec.eigenvalues:
         nearest_odd = 2 * round((theta - 1) / 2) + 1
-        if abs(theta - nearest_odd) > tol:
+        if abs(theta - nearest_odd) > ODD_INTEGER_TOL:
             raise SpectrumNotOddInteger(
-                f"eigenvalue {theta} is not within {tol:.1e} of an odd integer")
+                f"eigenvalue {theta} is not within {ODD_INTEGER_TOL:.1e} "
+                "of an odd integer")
     n = h_x.dim
     h_y = kron(np.eye(n), c4_matrix().array).array \
         + kron(h_x.array, np.ones((4, 4))).array
@@ -186,12 +188,12 @@ def upst_circulant(n: int, alpha, beta, h: int,
     return Circulant(hermitian_from_entries(mat), thetas)
 
 
-def is_circulant(h, tol: float = 1e-10) -> bool:
+def is_circulant(h) -> bool:
     a = np.asarray(h, dtype=complex)
     n = a.shape[0]
     first = a[0]
     for i in range(1, n):
-        if np.max(np.abs(a[i] - np.roll(first, i))) > tol:
+        if np.max(np.abs(a[i] - np.roll(first, i))) > CIRCULANT_TOL:
             return False
     return True
 
@@ -379,13 +381,13 @@ class LoopedPathProduct:
 
 def rooted_looped_path_product(h_x, m: int, gamma: float,
                                gamma_tag: Optional[Transcendental] = None,
-                               thetas_exact: Optional[Sequence[Fraction]] = None,
-                               tol: float = 1e-10) -> LoopedPathProduct:
+                               thetas_exact: Optional[Sequence[Fraction]] = None
+                               ) -> LoopedPathProduct:
     """Assemble the mn x mn product of a Hermitian circulant with a looped
     path, together with one Jacobi matrix per Fourier branch and the
     predicted eigenpairs (poly eigenvector) (x) (Fourier vector)."""
     a = np.asarray(h_x, dtype=complex)
-    if not is_circulant(a, tol):
+    if not is_circulant(a):
         raise NotCirculant("base matrix is not circulant")
     n = a.shape[0]
     if m < 1:

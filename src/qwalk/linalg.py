@@ -88,10 +88,6 @@ class ComplexMatrix:
             raise ValueError("re/im blocks do not match declared dim")
         return cls(re + 1j * im)
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
     @classmethod
     def load(cls, path) -> "ComplexMatrix":
         with open(path) as fh:
@@ -129,14 +125,15 @@ class HermitianMatrix:
         return hermitian_from_entries(ComplexMatrix.from_json(d).array)
 
 
-def hermitian_from_entries(entries, tol: float = HERMITIAN_TOL) -> HermitianMatrix:
+def hermitian_from_entries(entries) -> HermitianMatrix:
     """Validate near-Hermitian input and return the symmetrization
     (A + A*)/2 with an exactly real diagonal."""
     mat = ComplexMatrix(entries)
     a = mat.array
     asym = _max_abs(a - a.conj().T)
-    if asym > tol:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
+    if asym > HERMITIAN_TOL:
+        raise NotHermitian(
+            f"asymmetry {asym:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}")
     sym = (a + a.conj().T) / 2
     np.fill_diagonal(sym, sym.diagonal().real)
     return HermitianMatrix(ComplexMatrix(sym))
@@ -259,12 +256,12 @@ def transition_matrix(dec: SpectralDecomposition, t: float) -> ComplexMatrix:
     return ComplexMatrix((dec.vectors * phases) @ dec.vectors.conj().T)
 
 
-def kron(a, b, max_dim: int = MAX_KRON_DIM) -> ComplexMatrix:
+def kron(a, b) -> ComplexMatrix:
     """Kronecker product with a guard on the output dimension."""
     aa = np.asarray(a, dtype=complex)
     bb = np.asarray(b, dtype=complex)
     out_dim = aa.shape[0] * bb.shape[0]
-    if out_dim > max_dim:
+    if out_dim > MAX_KRON_DIM:
         raise DimensionOverflow(
-            f"kron output dimension {out_dim} exceeds limit {max_dim}")
+            f"kron output dimension {out_dim} exceeds limit {MAX_KRON_DIM}")
     return ComplexMatrix(np.kron(aa, bb))

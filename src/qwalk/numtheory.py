@@ -1,5 +1,5 @@
-"""Exact arithmetic for quadratic surds, integer relation lattices, and
-characteristic polynomials over GF(2).
+"""Exact arithmetic for quadratic surds, integer relation lattices, linear
+congruences over the rationals, and characteristic polynomials over GF(2).
 
 Values of the form q0 + sum qi*sqrt(di) (qi rational, di square-free) carry
 the spectra of every construction in this package exactly.  Transcendental
@@ -259,17 +259,48 @@ def _merge(a: Sequence[tuple], b: Sequence[tuple]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels and relation lattices
+# Integer elimination, relation lattices and linear congruences
 # ---------------------------------------------------------------------------
+
+def _echelon(rows: list[list[int]], columns: int) -> list[int]:
+    """Fraction-free row echelon form of the first `columns` columns, in
+    place, by unimodular row operations (which keep the row lattice).
+
+    For each column in turn, the first row at or below the frontier with a
+    nonzero entry is swapped up and every later row is cleared in that
+    column by an extended-gcd pair operation.  Returns the pivot columns;
+    rows[k] is the pivot row of the k-th one, and the rows after the last
+    pivot row vanish on the eliminated columns.
+    """
+    pivots: list[int] = []
+    for c in range(columns):
+        frontier = len(pivots)
+        piv = next((i for i in range(frontier, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[frontier], rows[piv] = rows[piv], rows[frontier]
+        top = rows[frontier]
+        for bot in rows[frontier + 1:]:
+            if not bot[c]:
+                continue
+            x, y, g = xgcd(top[c], bot[c])
+            ag, bg = top[c] // g, bot[c] // g
+            for j in range(c, len(top)):
+                t, u = top[j], bot[j]
+                top[j] = x * t + y * u
+                bot[j] = -bg * t + ag * u
+        pivots.append(c)
+    return pivots
+
 
 def integer_kernel(rows: Sequence[Sequence[Rational]], dim: int) -> list[list[int]]:
     """Saturated basis of {x in Z^dim : M x = 0} for a rational matrix M.
 
-    Clears denominators row-wise, then runs fraction-free (integer) row
-    elimination on [M^T | I]: unimodular row operations preserve the row
-    lattice, so the identity-part of every row whose M^T-part vanishes is a
-    kernel member, and together those rows form a basis of the full integer
-    kernel (no finite-index defect).
+    Clears denominators row-wise, then runs _echelon on [M^T | I]:
+    unimodular row operations preserve the row lattice, so the
+    identity-part of every row whose M^T-part vanishes is a kernel member,
+    and together those rows form a basis of the full integer kernel (no
+    finite-index defect).
     """
     cleared: list[list[int]] = []
     for row in rows:
@@ -284,25 +315,8 @@ def integer_kernel(rows: Sequence[Sequence[Rational]], dim: int) -> list[list[in
     # work rows: [column j of M | e_j]
     work = [[cleared[i][j] for i in range(b)] + [int(jj == j) for jj in range(dim)]
             for j in range(dim)]
-    frontier = 0
-    for c in range(b):
-        piv = next((i for i in range(frontier, dim) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[frontier], work[piv] = work[piv], work[frontier]
-        for i in range(frontier + 1, dim):
-            if not work[i][c]:
-                continue
-            a_, b_ = work[frontier][c], work[i][c]
-            x, y, g = xgcd(a_, b_)
-            ag, bg = a_ // g, b_ // g
-            top, bot = work[frontier], work[i]
-            for jj in range(c, b + dim):
-                t, u = top[jj], bot[jj]
-                top[jj] = x * t + y * u
-                bot[jj] = -bg * t + ag * u
-        frontier += 1
-    return [_canonical_sign(row[b:]) for row in work[frontier:]]
+    rank = len(_echelon(work, b))
+    return [_canonical_sign(row[b:]) for row in work[rank:]]
 
 
 def _canonical_sign(v: list[int]) -> list[int]:
@@ -319,7 +333,9 @@ class RelationLattice:
         for g in self.generators:
             if len(g) != dim:
                 raise ValueError("generator length mismatch")
-        self._echelon = _echelonize(self.generators, dim)
+        rows = [list(g) for g in self.generators]
+        pivots = _echelon(rows, dim)
+        self._echelon = list(zip(rows, pivots))
 
     @property
     def rank(self) -> int:
@@ -349,28 +365,6 @@ class RelationLattice:
         return {"dim": self.dim, "generators": self.generators}
 
 
-def _echelonize(gens: list[list[int]], dim: int) -> list[tuple[list[int], int]]:
-    rows = [list(g) for g in gens if any(g)]
-    out: list[tuple[list[int], int]] = []
-    for c in range(dim):
-        live = [r for r in rows if r[c]]
-        if not live:
-            continue
-        piv = live[0]
-        for r in live[1:]:
-            a_, b_ = piv[c], r[c]
-            x, y, g = xgcd(a_, b_)
-            ag, bg = a_ // g, b_ // g
-            for j in range(dim):
-                t, u = piv[j], r[j]
-                piv[j] = x * t + y * u
-                r[j] = -bg * t + ag * u
-        rows.remove(piv)
-        out.append((piv, c))
-        rows = [r for r in rows if any(r)]
-    return out
-
-
 def relation_lattice(values: Sequence[Surd]) -> RelationLattice:
     """Full integer relation lattice of a list of exact values.
 
@@ -385,13 +379,49 @@ def relation_lattice(values: Sequence[Surd]) -> RelationLattice:
     return RelationLattice(integer_kernel(rows, len(values)), len(values))
 
 
+def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):
+    """Solve c*x = d (mod 1) jointly for rational x, one rational pair
+    (c, d) per row.
+
+    A row with c != 0 allows the progression d/c + Z/|c|; a row with c == 0
+    allows every x when d is an integer and none otherwise.  Progressions
+    are intersected exactly by a gcd test.
+
+    Returns ((offset, step), None) for the solutions offset + step*Z, with
+    step None (and offset 0) when every x solves, or (None, i) for the
+    first row inconsistent with the rows before it.  The first progression
+    keeps its offset d/c as given; each intersection reduces the offset
+    to [0, step).
+    """
+    offset, step = Fraction(0), None
+    for i, (c, d) in enumerate(rows):
+        c, d = Fraction(c), Fraction(d)
+        if c == 0:
+            if d.denominator != 1:
+                return None, i
+            continue
+        o2, p2 = d / c, 1 / abs(c)
+        if step is None:
+            offset, step = o2, p2
+            continue
+        # offset + step*k == o2 + p2*j, scaled to integers a*k - b*j == gap
+        den = math.lcm(step.denominator, p2.denominator, (o2 - offset).denominator)
+        a, b, gap = int(step * den), int(p2 * den), int((o2 - offset) * den)
+        x, _, g = xgcd(a, b)
+        if gap % g:
+            return None, i
+        offset, step = offset + step * x * (gap // g), step * (b // g)
+        offset %= step
+    return (offset, step), None
+
+
 _PROBE_BUDGET = 2_000_000
+PROBE_TOL = 1e-9
 
 
-def float_relation_probe(values: Sequence[float], bound: int,
-                         tol: float = 1e-9) -> list[tuple[int, ...]]:
+def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int, ...]]:
     """Exhaustive search for integer vectors l, |l|_inf <= bound, with
-    |sum l_r v_r| <= tol.  Advisory only -- float evidence, never a proof.
+    |sum l_r v_r| <= PROBE_TOL.  Advisory only -- float evidence, never a proof.
 
     Vectors are canonicalized so their first nonzero entry is positive.
     """
@@ -413,7 +443,7 @@ def float_relation_probe(values: Sequence[float], bound: int,
             continue
         if next(v for v in vec if v) < 0:
             continue
-        if abs(sum(l * v for l, v in zip(vec, values))) <= tol:
+        if abs(sum(l * v for l, v in zip(vec, values))) <= PROBE_TOL:
             out.append(tuple(vec))
     return out
 

@@ -18,14 +18,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SpectralDecomposition
-from .numtheory import RelationLattice, Surd, relation_lattice, xgcd
+from .numtheory import RelationLattice, Surd, relation_lattice, solve_congruences
 
 SUPPORT_TOL = 1e-9
 PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
 PEAK_TIE_TOL = 1e-9
+ALIGN_TOL = 1e-8
 SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once
+REFINE_TOP = 5  # best grid points always refined by a sweep
+REFINE_ITERS = 60  # golden-section steps per refined peak
 QUARREL_MAX_DENOMINATOR = 128
+COMBO_BOUND = 10  # coefficient bound of the short sum-witness search
 TWO_PI = 2 * math.pi
 
 
@@ -65,11 +69,10 @@ class EigenvalueSupport:
         return [float(dec.eigenvalues[r]) for r in self.indices]
 
 
-def eigenvalue_support(dec: SpectralDecomposition, vertex: int,
-                       support_tol: float = SUPPORT_TOL) -> EigenvalueSupport:
+def eigenvalue_support(dec: SpectralDecomposition, vertex: int) -> EigenvalueSupport:
     if not 0 <= vertex < dec.dim:
         raise IndexError(f"vertex {vertex} out of range for dim {dec.dim}")
-    return EigenvalueSupport(vertex, dec.support(vertex, support_tol))
+    return EigenvalueSupport(vertex, dec.support(vertex, SUPPORT_TOL))
 
 
 @dataclass(frozen=True)
@@ -108,18 +111,15 @@ def _recognize_turn(phase: float, max_denominator: int,
     return cand % 1 if err <= tol else None
 
 
-def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int,
-                         tol: float = PROPORTIONALITY_TOL,
-                         support_tol: float = SUPPORT_TOL,
-                         max_denominator: int = QUARREL_MAX_DENOMINATOR) -> QuarrelSet:
+def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int) -> QuarrelSet:
     """Quarrels of the pair (a, b), or a refusal naming the first offender.
 
     Raises SupportMismatch when the eigenvalue supports differ, and
     NotProportional when some projector column pair is not a unit-phase
-    multiple entrywise within tol.
+    multiple entrywise within PROPORTIONALITY_TOL.
     """
-    sup_a = eigenvalue_support(dec, a, support_tol)
-    sup_b = eigenvalue_support(dec, b, support_tol)
+    sup_a = eigenvalue_support(dec, a)
+    sup_b = eigenvalue_support(dec, b)
     if sup_a.indices != sup_b.indices:
         raise SupportMismatch(a, b, sup_a.indices, sup_b.indices)
     if a == b:
@@ -133,15 +133,15 @@ def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int,
     for r in sup_a.indices:
         # an inner product at noise level relative to the column norms has
         # an arbitrary angle; the columns are far from proportional anyway
-        if abs(inner[r]) > tol * norms[a, r] * norms[b, r]:
+        if abs(inner[r]) > PROPORTIONALITY_TOL * norms[a, r] * norms[b, r]:
             q = float(np.angle(inner[r])) % TWO_PI
         else:
             q = 0.0
         residual = _column_residual(dec, r, a, b, q)
-        if residual > tol:
+        if residual > PROPORTIONALITY_TOL:
             raise NotProportional(a, b, r, residual)
         phases.append(q)
-        rationals.append(_recognize_turn(q, max_denominator))
+        rationals.append(_recognize_turn(q, QUARREL_MAX_DENOMINATOR))
     return QuarrelSet(a, b, sup_a.indices, tuple(phases), tuple(rationals))
 
 
@@ -157,8 +157,10 @@ def _column_residual(dec: SpectralDecomposition, r: int, a: int, b: int,
 class TransferVerdict:
     """Outcome of a transfer certification.
 
-    kind is one of 'PST-certified', 'PGST-certified', 'absent-certified',
-    'numeric-evidence'.
+    kind is one of 'PST-certified', 'PST-numeric', 'PGST-certified',
+    'absent-certified', 'numeric-evidence'.  'PST-numeric' is a sweep
+    maximum within PST_FIDELITY_TOL of 1: float evidence of PST, not a
+    certificate.
     """
 
     kind: str
@@ -203,19 +205,17 @@ def _jsonable(obj):
     return obj
 
 
-def _validate_quarrels(dec: SpectralDecomposition, quarrels: QuarrelSet,
-                       tol: float = PROPORTIONALITY_TOL) -> None:
+def _validate_quarrels(dec: SpectralDecomposition, quarrels: QuarrelSet) -> None:
     if dec.support(quarrels.a, SUPPORT_TOL) != quarrels.support:
         raise InconsistentQuarrels("quarrel support does not match decomposition")
     for r, q in zip(quarrels.support, quarrels.phases):
-        if _column_residual(dec, r, quarrels.a, quarrels.b, q) > tol:
+        if _column_residual(dec, r, quarrels.a, quarrels.b, q) > PROPORTIONALITY_TOL:
             raise InconsistentQuarrels(
                 f"stored quarrel {q} fails at eigenvalue index {r}")
 
 
 def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
                 eigenvalues_exact: Optional[Sequence[Surd]] = None,
-                fidelity_tol: float = PST_FIDELITY_TOL,
                 t_max: Optional[float] = None,
                 steps: Optional[int] = None) -> TransferVerdict:
     """Certify perfect state transfer from quarrels.a to quarrels.b.
@@ -224,11 +224,12 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
     distinct symbol-free surds and every quarrel is a rational multiple of
     2*pi): solve_pst_congruences decides the phase condition exactly.  No
     solution is certified absence; the minimal solution tau is verified
-    numerically against the fidelity tolerance before it is certified.
+    numerically against PST_FIDELITY_TOL before it is certified.
 
     Numeric mode (no exact carrier, or a failed verification): fidelity
-    sweep with golden-section refinement; certifies only when the refined
-    maximum clears 1 - fidelity_tol, otherwise reports numeric evidence.
+    sweep with golden-section refinement; a refined maximum that clears
+    1 - PST_FIDELITY_TOL is reported as PST-numeric, anything lower as
+    numeric evidence.
     """
     _validate_quarrels(dec, quarrels)
     a, b = quarrels.a, quarrels.b
@@ -247,7 +248,7 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
             fid = abs(transfer_amplitude(dec, a, b)(tau)[0])
             alpha = complex(np.exp(1j * (quarrels.phases[0]
                                          - tau * float(dec.eigenvalues[sup[0]]))))
-            if fid >= 1 - fidelity_tol:
+            if fid >= 1 - PST_FIDELITY_TOL:
                 return TransferVerdict(
                     "PST-certified", time=tau, phase=alpha, fidelity=float(fid),
                     witness={"mode": "exact", **witness},
@@ -259,10 +260,10 @@ def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
     if steps is None:
         steps = max(2001, int(t_max * 40) + 1)
     sweep = fidelity_sweep(dec, a, b, t_max, steps)
-    if sweep.best_fidelity >= 1 - fidelity_tol:
+    if sweep.best_fidelity >= 1 - PST_FIDELITY_TOL:
         phase = complex(transfer_amplitude(dec, a, b)(sweep.best_time)[0])
         return TransferVerdict(
-            "PST-certified", time=sweep.best_time, phase=phase,
+            "PST-numeric", time=sweep.best_time, phase=phase,
             fidelity=sweep.best_fidelity,
             witness={"mode": "numeric", "t_max": t_max},
             notes="numeric fidelity maximum at certification tolerance")
@@ -285,8 +286,8 @@ def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
     needs tau*theta_r - 2*pi*u_r to agree mod 2*pi on the support, i.e. for
     consecutive differences dtheta_i, du_i and x = tau*dtheta_0/(2*pi):
     x = du_0 (mod 1) and r_i*x = du_i (mod 1) with r_i = dtheta_i/dtheta_0.
-    An irrational r_i violates the ratio condition; otherwise each
-    congruence is a progression of rationals, intersected exactly.
+    An irrational r_i violates the ratio condition; otherwise
+    numtheory.solve_congruences decides the congruences exactly.
 
     Returns (x, {"windings": [...]}) with the least x > 0, where the
     windings are the integers r_i*x - du_i, or (None, witness) naming the
@@ -296,23 +297,30 @@ def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
         raise ValueError("need at least two support values, one turn each")
     if not _strictly_ascending(values):
         raise ValueError("support values must be strictly ascending")
-    periodic, witness = check_periodicity(values)
-    if not periodic:
+    ratios, witness = _ratio_condition(values)
+    if ratios is None:
         return None, {"criterion": "ratio-condition", **witness}
-    dtheta = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     du = [Fraction(turns[i + 1]) - Fraction(turns[i]) for i in range(len(values) - 1)]
-    ratios = [Fraction(1)] + [dt.ratio(dtheta[0]) for dt in dtheta[1:]]
-    offset, step = du[0] % 1, Fraction(1)
-    for i in range(1, len(ratios)):
-        merged = _intersect_progressions(offset, step,
-                                         du[i] / ratios[i], 1 / ratios[i])
-        if merged is None:
-            return None, {"criterion": "phase-congruence", "index": i,
-                          "ratio": ratios[i], "du_0": du[0], "du_i": du[i],
-                          "turns": list(turns)}
-        offset, step = merged
+    solution, i = solve_congruences([(1, du[0] % 1)] + list(zip(ratios[1:], du[1:])))
+    if solution is None:
+        return None, {"criterion": "phase-congruence", "index": i,
+                      "ratio": ratios[i], "du_0": du[0], "du_i": du[i],
+                      "turns": list(turns)}
+    offset, step = solution
     x = offset or step
     return x, {"windings": [int(r * x - d) for r, d in zip(ratios, du)]}
+
+
+def _refusal(exc: ValueError) -> TransferVerdict:
+    """The absent-certified verdict for a pair that strong_cospectrality
+    refused with SupportMismatch or NotProportional."""
+    if isinstance(exc, SupportMismatch):
+        detail = {"support_a": list(exc.support_a), "support_b": list(exc.support_b)}
+    else:
+        detail = {"eigenvalue_index": exc.index, "residual": exc.residual}
+    return TransferVerdict(
+        "absent-certified",
+        witness={"criterion": "strong-cospectrality", **detail}, notes=str(exc))
 
 
 def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
@@ -322,20 +330,8 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
     become certified-absent verdicts (they violate a necessary condition)."""
     try:
         quarrels = strong_cospectrality(dec, a, b)
-    except SupportMismatch as exc:
-        return TransferVerdict(
-            "absent-certified",
-            witness={"criterion": "strong-cospectrality",
-                     "support_a": list(exc.support_a),
-                     "support_b": list(exc.support_b)},
-            notes=str(exc))
-    except NotProportional as exc:
-        return TransferVerdict(
-            "absent-certified",
-            witness={"criterion": "strong-cospectrality",
-                     "eigenvalue_index": exc.index,
-                     "residual": exc.residual},
-            notes=str(exc))
+    except (SupportMismatch, NotProportional) as exc:
+        return _refusal(exc)
     return certify_pst(dec, quarrels, eigenvalues_exact, **kwargs)
 
 
@@ -352,18 +348,31 @@ def check_periodicity(support_values: Sequence[Surd]) -> tuple[bool, Optional[di
             values.append(v)
     if len(values) < 2:
         return True, None
+    ratios, witness = _ratio_condition(values)
+    return ratios is not None, witness
+
+
+def _ratio_condition(values: Sequence[Surd]):
+    """Ratios r_i = (theta_{i+1} - theta_i)/(theta_1 - theta_0) of the
+    consecutive differences of distinct values, as (ratios, None), or
+    (None, witness) at the first irrational one.
+
+    Every difference theta_j - theta_i is a sum of consecutive ones, so the
+    first irrational r_i makes (i + 1, 0) the first pair of an all-pairs
+    scan whose difference is not a rational multiple of theta_1 - theta_0;
+    the witness names that pair.  Costs one Surd.ratio per difference past
+    the first."""
     base = values[1] - values[0]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            diff = values[j] - values[i]
-            if diff.ratio(base) is None:
-                return False, {
-                    "numerator_pair": (j, i),
-                    "denominator_pair": (1, 0),
-                    "numerator": repr(diff),
-                    "denominator": repr(base),
-                }
-    return True, None
+    ratios = [Fraction(1)]
+    for i in range(1, len(values) - 1):
+        r = (values[i + 1] - values[i]).ratio(base)
+        if r is None:
+            return None, {"numerator_pair": (i + 1, 0),
+                          "denominator_pair": (1, 0),
+                          "numerator": repr(values[i + 1] - values[0]),
+                          "denominator": repr(base)}
+        ratios.append(r)
+    return ratios, None
 
 
 # ---------------------------------------------------------------------------
@@ -373,59 +382,24 @@ def check_periodicity(support_values: Sequence[Surd]) -> tuple[bool, Optional[di
 def solve_phase_congruences(generators: Sequence[Sequence[int]],
                             turns: Sequence[Fraction]):
     """Find rational x = delta/(2*pi) with sum_r g_r*(u_r + x) in Z for every
-    generator g, or report two jointly infeasible constraint sources.
+    generator g, or report the generator that makes the system infeasible.
 
     Each generator imposes t_g * x = -s_g (mod 1) with t_g = sum(g) and
-    s_g = sum g_r u_r; solution sets are arithmetic progressions of
-    rationals (or everything/empty when t_g = 0), intersected by gcd tests.
+    s_g = sum g_r u_r, solved jointly by numtheory.solve_congruences.
 
-    Returns (x, None) on success and (None, witness) on failure.
+    Returns (x, None) with x in [0, 1) on success and (None, witness) on
+    failure.
     """
-    offset: Optional[Fraction] = None  # None means "all reals so far"
-    step = Fraction(0)
-    seen: list[Sequence[int]] = []
-    for g in generators:
-        t_g = sum(g)
-        s_g = sum(Fraction(c) * u for c, u in zip(g, turns))
-        if t_g == 0:
-            if s_g.denominator != 1:
-                return None, {"generator": list(g), "violation": f"s_g = {s_g} not an integer",
-                              "previous": [list(p) for p in seen]}
-            seen.append(g)
-            continue
-        new_offset = Fraction(-s_g, t_g)
-        new_step = Fraction(1, abs(t_g))
-        if offset is None:
-            offset, step = new_offset, new_step
-        else:
-            merged = _intersect_progressions(offset, step, new_offset, new_step)
-            if merged is None:
-                return None, {"generator": list(g),
-                              "violation": "incompatible congruence",
-                              "previous": [list(p) for p in seen]}
-            offset, step = merged
-        seen.append(g)
-    if offset is None:
-        return Fraction(0), None
-    return offset % 1, None
-
-
-def _intersect_progressions(o1: Fraction, p1: Fraction, o2: Fraction, p2: Fraction):
-    """Intersect {o1 + p1 Z} with {o2 + p2 Z} over the rationals."""
-    den = math.lcm(p1.denominator, p2.denominator, (o2 - o1).denominator)
-    a = int(p1 * den)
-    b = int(p2 * den)
-    c = int((o2 - o1) * den)
-    g = math.gcd(a, b)
-    if c % g:
-        return None
-    # solve a*k - b*j = c; k = k0 mod b/g
-    x, _, _ = xgcd(a, -b)
-    k0 = x * (c // g)
-    new_step = p1 * (b // g)
-    new_offset = o1 + p1 * k0
-    new_offset %= new_step
-    return new_offset, new_step
+    sums = [sum(Fraction(c) * u for c, u in zip(g, turns)) for g in generators]
+    solution, i = solve_congruences(
+        (sum(g), -s_g) for g, s_g in zip(generators, sums))
+    if solution is None:
+        g = generators[i]
+        violation = (f"s_g = {sums[i]} not an integer" if sum(g) == 0
+                     else "incompatible congruence")
+        return None, {"generator": list(g), "violation": violation,
+                      "previous": [list(p) for p in generators[:i]]}
+    return solution[0] % 1, None
 
 
 def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
@@ -471,9 +445,7 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
-        return TransferVerdict(
-            "absent-certified",
-            witness={"criterion": "strong-cospectrality"}, notes=str(exc))
+        return _refusal(exc)
     values = None
     if eigenvalues_exact is not None:
         values = [eigenvalues_exact[r] for r in quarrels.support]
@@ -521,13 +493,12 @@ def transfer_amplitude(dec: SpectralDecomposition, a: int, b: int):
 
 
 def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
-                   t_max: float, steps: int,
-                   refine_top: int = 5, refine_iters: int = 60) -> SweepResult:
+                   t_max: float, steps: int) -> SweepResult:
     """Uniform fidelity grid on [0, t_max], refined by golden-section search
     and reported at the earliest peak that ties the best; deterministic for
     fixed arguments.
 
-    Refined are the refine_top best grid points and every grid peak within
+    Refined are the REFINE_TOP best grid points and every grid peak within
     slope*spacing/2 of the grid maximum, where slope = sum_r |E_r[b, a]|
     |theta_r - mid| bounds |d/dt U(t)[b, a]| up to a global phase, so no
     lower grid peak can hide the maximum.  The reported time is the earliest
@@ -555,10 +526,10 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
     near = fid >= fid.max() - slope * spacing / 2
     near[1:] &= fid[1:] > fid[:-1]
     near[:-1] &= fid[:-1] >= fid[1:]
-    near[np.argsort(fid)[::-1][:refine_top]] = True
+    near[np.argsort(fid)[::-1][:REFINE_TOP]] = True
     idx = np.flatnonzero(near)
     t_ref, f_ref = _golden_max(fidelity, np.maximum(times[idx] - spacing, 0.0),
-                               np.minimum(times[idx] + spacing, t_max), refine_iters)
+                               np.minimum(times[idx] + spacing, t_max), REFINE_ITERS)
     keep_grid = fid[idx] >= f_ref
     t_ref = np.where(keep_grid, times[idx], t_ref)
     f_ref = np.where(keep_grid, fid[idx], f_ref)
@@ -600,8 +571,7 @@ class PhaseCheckResult:
     integer_witness: Optional[tuple[int, ...]]
 
 
-def phase_checks(support_values: Sequence[Surd],
-                 combo_bound: int = 10) -> PhaseCheckResult:
+def phase_checks(support_values: Sequence[Surd]) -> PhaseCheckResult:
     """Exact phase-factor algebraicity checks: pairwise rationality
     of eigenvalue ratios, and an integer vector k with sum k_r theta_r = 0
     and sum k_r != 0 (found from the relation lattice when one exists)."""
@@ -612,12 +582,11 @@ def phase_checks(support_values: Sequence[Surd],
         base = nonzero[0]
         ratios_rational = all(v.ratio(base) is not None for v in nonzero[1:])
     lattice = relation_lattice(values)
-    witness = _sum_witness(lattice, combo_bound)
+    witness = _sum_witness(lattice)
     return PhaseCheckResult(ratios_rational, witness)
 
 
-def _sum_witness(lattice: RelationLattice,
-                 bound: int) -> Optional[tuple[int, ...]]:
+def _sum_witness(lattice: RelationLattice) -> Optional[tuple[int, ...]]:
     gens = [g for g in lattice.generators]
     candidates = [g for g in gens if sum(g) != 0]
     if not candidates:
@@ -625,7 +594,7 @@ def _sum_witness(lattice: RelationLattice,
     best = min(candidates, key=_witness_key)
     if len(gens) <= 3:
         from itertools import product
-        for coeffs in product(range(-bound, bound + 1), repeat=len(gens)):
+        for coeffs in product(range(-COMBO_BOUND, COMBO_BOUND + 1), repeat=len(gens)):
             vec = [sum(c * g[i] for c, g in zip(coeffs, gens))
                    for i in range(lattice.dim)]
             if sum(vec) != 0 and _witness_key(vec) < _witness_key(best):
@@ -638,19 +607,19 @@ def _witness_key(vec) -> tuple:
             tuple(-x for x in vec))
 
 
-def align_exact_spectrum(dec: SpectralDecomposition, values: Sequence[Surd],
-                         tol: float = 1e-8) -> list[Surd]:
+def align_exact_spectrum(dec: SpectralDecomposition,
+                         values: Sequence[Surd]) -> list[Surd]:
     """Match each decomposition eigenvalue to the closest exact value,
-    verifying agreement within tol; the result is indexable by the
+    verifying agreement within ALIGN_TOL; the result is indexable by the
     decomposition's eigenvalue index."""
     floats = [float(v) for v in values]
     out = []
     for theta in dec.eigenvalues:
         errs = [abs(float(theta) - f) for f in floats]
         best = min(range(len(floats)), key=errs.__getitem__)
-        if errs[best] > tol:
+        if errs[best] > ALIGN_TOL:
             raise ValueError(
-                f"eigenvalue {theta} has no exact counterpart within {tol:.1e}")
+                f"eigenvalue {theta} has no exact counterpart within {ALIGN_TOL:.1e}")
         out.append(values[best])
     return out
 

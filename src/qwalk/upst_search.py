@@ -22,6 +22,7 @@ from .transfer import check_periodicity
 SIMPLE_GAP_TOL = 1e-8
 FLAT_TOL = 1e-7
 GRID_TOL = 1e-7
+RATIONAL_MAX_DENOMINATOR = 1000
 
 
 @dataclass
@@ -68,8 +69,8 @@ class NecessaryConditions:
                 and self.integer_grid is not False)
 
 
-def recognize_sqrt_grid(eigenvalues: Sequence[float],
-                        tol: float = GRID_TOL) -> Optional[tuple[int, tuple[int, ...]]]:
+def recognize_sqrt_grid(eigenvalues: Sequence[float]
+                        ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Recognize theta_r = z_r*sqrt(Delta) with integer z_r and square-free
     Delta; returns (Delta, z) or None.  Rounds theta^2 to integers, takes
     the square-free part of their gcd, and verifies residuals on the grid."""
@@ -78,7 +79,7 @@ def recognize_sqrt_grid(eigenvalues: Sequence[float],
     for t in thetas:
         sq = t * t
         near = round(sq)
-        if abs(sq - near) > tol * max(1.0, abs(2 * t)):
+        if abs(sq - near) > GRID_TOL * max(1.0, abs(2 * t)):
             return None
         squares.append(near)
     g = 0
@@ -91,21 +92,19 @@ def recognize_sqrt_grid(eigenvalues: Sequence[float],
     zs = []
     for t in thetas:
         z = round(t / root)
-        if abs(t - z * root) > tol:
+        if abs(t - z * root) > GRID_TOL:
             return None
         zs.append(z)
     return delta, tuple(zs)
 
 
-def recognize_rational_spectrum(eigenvalues: Sequence[float],
-                                tol: float = GRID_TOL,
-                                max_denominator: int = 1000):
-    """Round eigenvalues to small-denominator rationals; None unless every
-    residual clears tol."""
+def recognize_rational_spectrum(eigenvalues: Sequence[float]):
+    """Round eigenvalues to rationals of denominator at most
+    RATIONAL_MAX_DENOMINATOR; None unless every residual clears GRID_TOL."""
     out = []
     for t in eigenvalues:
-        q = Fraction(float(t)).limit_denominator(max_denominator)
-        if abs(float(t) - float(q)) > tol:
+        q = Fraction(float(t)).limit_denominator(RATIONAL_MAX_DENOMINATOR)
+        if abs(float(t) - float(q)) > GRID_TOL:
             return None
         out.append(q)
     return out

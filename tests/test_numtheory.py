@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from qwalk.numtheory import (DimensionTooLarge, Poly2, Surd, Transcendental,
                              charpoly_int, charpoly_mod2, float_relation_probe,
                              integer_kernel, poly_from_roots_mod2,
-                             relation_lattice, square_free_part)
+                             relation_lattice, solve_congruences,
+                             square_free_part)
 
 
 # --- square-free decomposition ---------------------------------------------
@@ -175,16 +177,73 @@ def test_relation_lattice_star_m1_kills_surd_coefficients():
                 min_size=2, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_relation_lattice_complete_on_small_inputs(spec):
+    # value r is c_r*sqrt(d_r); 1, sqrt(2), sqrt(3), sqrt(5) are linearly
+    # independent over Q, so l is a relation iff sum l_r c_r vanishes over
+    # each group of equal d_r -- exact integer arithmetic, no Surd
     values = [Surd.sqrt(d, c) for c, d in spec]
     lattice = relation_lattice(values)
-    for vec in brute_force_relations(values, 4):
-        assert lattice.contains(vec)
+    groups = [[c if dr == d else 0 for c, dr in spec] for d in {d for _, d in spec}]
+    for vec in product(range(-4, 5), repeat=len(spec)):
+        member = all(sum(l * c for l, c in zip(vec, g)) == 0 for g in groups)
+        assert lattice.contains(vec) == member, vec
 
 
 def test_integer_kernel_saturation():
     # kernel of (2 4) is spanned by (2, -1), not (4, -2)
     gens = integer_kernel([[2, 4]], 2)
     assert gens == [[2, -1]] or gens == [[-2, 1]]
+
+
+# --- linear congruences -----------------------------------------------------
+
+def _grid_solutions(rows, grid):
+    return {x for x in grid
+            if all((Fraction(c) * x - Fraction(d)).denominator == 1 for c, d in rows)}
+
+
+def test_solve_congruences_matches_grid_scan():
+    # c = p/q with |p| <= 4, q | 3 and d in Z/6: every solution lies on the
+    # grid Z/72 and the solution set has period dividing 6, so x in [0, 6)
+    # on that grid sees all of it
+    rng = np.random.default_rng(505)
+    grid = [Fraction(j, 72) for j in range(6 * 72)]
+    outcomes = set()
+    for _ in range(300):
+        rows = []
+        for _ in range(int(rng.integers(0, 5))):
+            p, q = int(rng.integers(-4, 5)), int(rng.choice([1, 2, 3]))
+            rows.append((Fraction(p, q), Fraction(int(rng.integers(-12, 13)), 6)))
+        solution, i = solve_congruences(rows)
+        scan = _grid_solutions(rows, grid)
+        if solution is None:
+            outcomes.add("none")
+            assert not scan, rows
+            assert _grid_solutions(rows[:i], grid), rows  # rows before i agree
+            continue
+        offset, step = solution
+        assert all((c * offset - d).denominator == 1 for c, d in rows)
+        if step is None:
+            outcomes.add("all")
+            assert offset == 0 and scan == set(grid), rows
+        else:
+            outcomes.add("progression")
+            assert scan == {x for x in grid if ((x - offset) / step).denominator == 1}, rows
+            if sum(1 for c, _ in rows if c) >= 2:  # intersected: canonical offset
+                assert 0 <= offset < step
+    assert outcomes == {"none", "all", "progression"}
+
+
+def test_solve_congruences_edge_cases():
+    assert solve_congruences([]) == ((0, None), None)
+    assert solve_congruences([(0, 3), (0, -1)]) == ((0, None), None)
+    assert solve_congruences([(0, 2), (0, Fraction(1, 2))]) == (None, 1)
+    # the first progression keeps d/c unreduced; negative c gives a positive step
+    assert solve_congruences([(-2, Fraction(7, 3))]) == ((Fraction(-7, 6), Fraction(1, 2)), None)
+    # x = 1/2 (mod 1) and 2x = 1/2 (mod 1) have no common solution
+    assert solve_congruences([(1, Fraction(1, 2)), (2, Fraction(1, 2))]) == (None, 1)
+    # x = 1/3 (mod 1) and x/2 = 2/3 (mod 1): x = 4/3 (mod 2)
+    assert solve_congruences([(1, Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3))]) == (
+        (Fraction(4, 3), Fraction(2)), None)
 
 
 # --- float relation probe ---------------------------------------------------
@@ -205,7 +264,6 @@ def test_probe_budget():
 # --- GF(2) characteristic polynomials ---------------------------------------
 
 def test_charpoly_against_sympy_oracle():
-    import numpy as np
     rng = np.random.default_rng(7)
     for _ in range(15):
         n = int(rng.integers(1, 7))
@@ -238,7 +296,6 @@ def test_charpoly_mod2_requires_symmetry():
 
 
 def test_poly2_block_multiplicativity():
-    import numpy as np
     rng = np.random.default_rng(11)
     a = rng.integers(0, 2, (3, 3))
     a = ((a + a.T) % 2).tolist()

@@ -114,7 +114,7 @@ def test_certify_pst_one_way_family():
     dec = spectral_decomposition(fam.matrix)
     exact = align_exact_spectrum(dec, fam.eigenvalues_exact)
     verdict = certify_pst(dec, strong_cospectrality(dec, 2, 0), exact, t_max=50)
-    assert verdict.kind == "PST-certified"
+    assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - 1.0) < 1e-6
     assert abs(verdict.phase - 1.0) < 1e-6
 
@@ -124,7 +124,7 @@ def test_certify_pst_c4_tensor_time():
     h = c4_tensor_construction(oriented_to_hermitian(oriented_k2()))
     dec = spectral_decomposition(h)
     verdict = pst_verdict(dec, 0, 3, t_max=5.0)
-    assert verdict.kind == "PST-certified"
+    assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - math.pi / 4) < 1e-6
 
 
@@ -288,6 +288,55 @@ def test_periodicity_examples():
     assert check_periodicity([Surd.sqrt(5)]) == (True, None)
 
 
+def _all_pairs_periodicity(values):
+    # reference: every pairwise difference against the first one, in order
+    distinct = []
+    for v in values:
+        if v not in distinct:
+            distinct.append(v)
+    if len(distinct) < 2:
+        return True, None
+    base = distinct[1] - distinct[0]
+    for i in range(len(distinct)):
+        for j in range(i + 1, len(distinct)):
+            diff = distinct[j] - distinct[i]
+            if diff.ratio(base) is None:
+                return False, {"numerator_pair": (j, i), "denominator_pair": (1, 0),
+                               "numerator": repr(diff), "denominator": repr(base)}
+    return True, None
+
+
+def test_periodicity_matches_all_pairs_reference(monkeypatch):
+    rng = np.random.default_rng(4242)
+    units = [Surd(1), Surd.sqrt(2), Surd.sqrt(3) / 2]
+    ratio = Surd.ratio
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return ratio(self, other)
+
+    outcomes = set()
+    for _ in range(300):
+        unit = units[int(rng.integers(3))]
+        offset = Surd.sqrt(5) if rng.integers(2) else Surd(0)
+        values = [offset + unit * int(k) for k in rng.integers(-5, 6, int(rng.integers(1, 7)))]
+        for _ in range(int(rng.integers(0, 3))):  # break the ratio condition
+            i = int(rng.integers(len(values)))
+            values[i] = values[i] + Surd.sqrt(7) * Fraction(int(rng.integers(1, 4)), 3)
+        values += [values[int(i)] for i in rng.integers(0, len(values), 2)]  # duplicates
+        values = [values[int(i)] for i in rng.permutation(len(values))]
+        expected = _all_pairs_periodicity(values)
+        monkeypatch.setattr(Surd, "ratio", counted)
+        calls.clear()
+        got = check_periodicity(values)
+        monkeypatch.setattr(Surd, "ratio", ratio)
+        assert got == expected, values
+        assert len(calls) <= max(len(set(values)) - 1, 0)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
 def test_periodicity_equivalence_numeric():
     # spectrum in Z*sqrt(3): exact check says periodic, and the walk returns
     # at t = 2 pi/sqrt(3) within the 1e-6 window
@@ -357,6 +406,20 @@ def test_certify_pgst_direction_symmetry():
             delta_f = forward.witness["delta_turns"]
             delta_b = backward.witness["delta_turns"]
             assert (delta_f + delta_b) % 1 == 0
+
+
+def test_pgst_refusal_carries_pst_witness():
+    # the path's middle vertex misses an eigenvalue its end sees; the
+    # oriented 6-cycle's vertices 0 and 3 are not proportional at index 0
+    p3 = spectral_decomposition(hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    c6 = spectral_decomposition(build_family("oriented-cycle", n=6).matrix)
+    for dec, a, b, fields in ((p3, 0, 1, {"support_a", "support_b"}),
+                              (c6, 0, 3, {"eigenvalue_index", "residual"})):
+        pgst, pst = pgst_verdict(dec, a, b), pst_verdict(dec, a, b)
+        assert pgst.kind == pst.kind == "absent-certified"
+        assert set(pgst.witness) == {"criterion"} | fields
+        assert pgst.witness == pst.witness
+        assert pgst.notes == pst.notes
 
 
 def test_pgst_verdict_numeric_fallback():
@@ -443,14 +506,14 @@ def test_sweep_reports_earliest_of_equal_peaks():
         assert abs(sweep.best_time - math.pi / 2) <= 1e-6
         assert sweep.best_fidelity >= 1 - 1e-9
         verdict = pst_verdict(dec, a, a ^ 127)
-        assert verdict.kind == "PST-certified"
+        assert verdict.kind == "PST-numeric"
         assert abs(verdict.time - math.pi / 2) <= 1e-6
 
 
 def test_numeric_pst_on_oriented_cycle_reports_pi_over_2():
     dec = spectral_decomposition(build_family("oriented-cycle", n=4).matrix)
     verdict = pst_verdict(dec, 0, 2)
-    assert verdict.kind == "PST-certified"
+    assert verdict.kind == "PST-numeric"
     assert verdict.witness["mode"] == "numeric"
     assert abs(verdict.time - math.pi / 2) <= 1e-6
 
