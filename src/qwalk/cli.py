@@ -11,7 +11,8 @@ import json
 import math
 import sys
 
-from .constructions import FamilyBundle, build_family, build_family_spec
+from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
+                           build_family_spec)
 from .linalg import ComplexMatrix, hermitian_from_entries, spectral_decomposition
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, align_exact_spectrum,
@@ -34,8 +35,11 @@ def _load_bundle(args) -> FamilyBundle:
             val = getattr(args, key.replace("-", "_"), None)
             if val is not None:
                 params[key] = val
-        return build_family(args.family, **params)
-    raise SystemExit("need --family or --matrix")
+        try:
+            return build_family(args.family, **params)
+        except BadFamilyParameters as exc:
+            raise FlagError(str(exc)) from None
+    raise FlagError("need --family or --matrix")
 
 
 def _check_vertices(args, dim: int) -> None:
@@ -45,11 +49,14 @@ def _check_vertices(args, dim: int) -> None:
 
 
 def _check_numbers(args) -> None:
-    """Reject --tol, --t-max and --steps values no command can use."""
+    """Reject --tol, --t-max, --param and --steps values no command can use."""
     for flag, attr in (("--tol", "tol"), ("--t-max", "t_max")):
         value = getattr(args, attr, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise FlagError(f"{flag} {value} must be a finite positive number")
+    param = getattr(args, "param", None)
+    if param is not None and not math.isfinite(param):
+        raise FlagError(f"--param {param} must be a finite number")
     steps = getattr(args, "steps", None)
     if steps is not None and steps < 2:
         raise FlagError(f"--steps {steps} must be at least 2")

@@ -39,6 +39,10 @@ class NotCirculant(ValueError):
     pass
 
 
+class BadFamilyParameters(ValueError):
+    """build_family got an unknown name or parameters it cannot use."""
+
+
 class AssemblyMismatch(RuntimeError):
     pass
 
@@ -171,6 +175,8 @@ def upst_circulant(n: int, alpha, beta, h: int,
     """Hermitian circulant with spectrum theta_j = alpha + beta*(j*h + c_j*n)
     on the Fourier basis; this arithmetic-progression shape forces universal
     perfect state transfer."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -530,8 +536,26 @@ def build_family(name: str, **params) -> FamilyBundle:
     Recognized: oriented_k2, oriented_k3, oriented_cycle(n),
     hypercube(m), c4_tensor_k2, c4_tensor_cube(m), upst_circulant(n, alpha,
     beta, h, c), star_product(m), looped_path(n, m, param), one_way_4(param),
-    one_way_8(param)."""
+    one_way_8(param).  An unknown name, a missing required parameter or a
+    parameter the family cannot be built from raises BadFamilyParameters."""
     key = name.replace("-", "_").lower()
+    for required in _REQUIRED_PARAMETERS.get(key, ()):
+        if required not in params:
+            raise BadFamilyParameters(f"family {name!r} needs parameter {required}")
+    try:
+        bundle = _build_family(key, params)
+    except ValueError as exc:
+        raise BadFamilyParameters(str(exc)) from exc
+    if bundle is None:
+        raise BadFamilyParameters(f"unknown family {name!r}")
+    return bundle
+
+
+_REQUIRED_PARAMETERS = {"oriented_cycle": ("n",), "upst_circulant": ("n",),
+                        "star_product": ("m",), "looped_path": ("m",)}
+
+
+def _build_family(key: str, params: dict) -> Optional[FamilyBundle]:
     if key == "oriented_k2":
         return FamilyBundle(key, oriented_to_hermitian(oriented_k2()),
                             [Surd(-1), Surd(1)])
@@ -587,7 +611,7 @@ def build_family(name: str, **params) -> FamilyBundle:
         theta = float(params.get("param", math.sqrt(2)))
         fam = one_way_family_8(theta)
         return FamilyBundle(key, fam.matrix, fam.eigenvalues_exact, fam.notes)
-    raise ValueError(f"unknown family {name!r}")
+    return None
 
 
 def build_family_spec(spec: dict) -> FamilyBundle:

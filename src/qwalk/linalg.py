@@ -128,15 +128,21 @@ class HermitianMatrix:
 def hermitian_from_entries(entries) -> HermitianMatrix:
     """Validate near-Hermitian input and return the symmetrization
     (A + A*)/2 with an exactly real diagonal."""
-    mat = ComplexMatrix(entries)
-    a = mat.array
-    asym = _max_abs(a - a.conj().T)
+    a = ComplexMatrix(entries).array
+    # the one n x n temporary besides a and the result; row-major like a,
+    # so the elementwise passes below run over contiguous memory
+    work = np.empty_like(a)
+    np.subtract(a, np.conj(a.T, out=work), out=work)
+    np.abs(work, out=work)
+    asym = float(work.real.max(initial=0.0))
     if asym > HERMITIAN_TOL:
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}")
-    sym = (a + a.conj().T) / 2
-    np.fill_diagonal(sym, sym.diagonal().real)
-    return HermitianMatrix(ComplexMatrix(sym))
+    np.add(a, np.conj(a.T, out=work), out=work)
+    del a  # freed before the result is copied out of work
+    work /= 2
+    np.fill_diagonal(work, work.diagonal().real)
+    return HermitianMatrix(ComplexMatrix(work))
 
 
 class SpectralDecomposition:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 Rational = Union[int, Fraction]
 
 
@@ -417,13 +419,19 @@ def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):
 
 _PROBE_BUDGET = 2_000_000
 PROBE_TOL = 1e-9
+# codes float_relation_probe enumerates at once: 64 KB per array stays in
+# cache, and larger chunks were slower and raised the battery's peak RSS
+PROBE_CHUNK = 1 << 13
 
 
 def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int, ...]]:
     """Exhaustive search for integer vectors l, |l|_inf <= bound, with
     |sum l_r v_r| <= PROBE_TOL.  Advisory only -- float evidence, never a proof.
 
-    Vectors are canonicalized so their first nonzero entry is positive.
+    Vectors are canonicalized so their first nonzero entry is positive, and
+    returned in the order of their codes sum_r (l_r + bound)*(2*bound + 1)**r.
+    The codes are enumerated PROBE_CHUNK at a time; each sum is accumulated
+    left to right from 0.0, so it is the float Python's sum() gives.
     """
     if bound > 50:
         raise ValueError("bound must be <= 50")
@@ -433,17 +441,22 @@ def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int,
             f"(2*{bound}+1)^{d} exceeds the enumeration budget")
     out = []
     radix = 2 * bound + 1
-    for code in range(radix ** d):
-        vec = []
-        x = code
-        for _ in range(d):
-            vec.append(x % radix - bound)
-            x //= radix
-        if not any(vec):
-            continue
-        if next(v for v in vec if v) < 0:
-            continue
-        if abs(sum(l * v for l, v in zip(vec, values))) <= PROBE_TOL:
+    total = radix ** d
+    for start in range(0, total, PROBE_CHUNK):
+        rest = np.arange(start, min(start + PROBE_CHUNK, total))
+        acc = np.zeros(len(rest))
+        first = np.zeros(len(rest), dtype=rest.dtype)  # first nonzero entry
+        for v in values:
+            digit = rest % radix - bound
+            rest //= radix
+            acc += digit * v
+            first = np.where(first == 0, digit, first)
+        hits = np.flatnonzero((first > 0) & (np.abs(acc) <= PROBE_TOL))
+        for code in (start + hits).tolist():
+            vec = []
+            for _ in range(d):
+                vec.append(code % radix - bound)
+                code //= radix
             out.append(tuple(vec))
     return out
 

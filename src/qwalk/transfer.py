@@ -1,7 +1,7 @@
 """State-transfer criteria: eigenvalue support, strong cospectrality and
 quarrels, perfect-state-transfer certification, periodicity (ratio
-condition), the Kronecker-criterion pretty-good-transfer checker, phase
-algebraicity checks, and numeric fidelity sweeps.
+condition), the Kronecker-criterion pretty-good-transfer checker, and
+numeric fidelity sweeps.
 
 Exact certification runs on Surd-valued spectra and quarrels that are
 rational multiples of 2*pi; anything outside that carrier degrades to
@@ -29,7 +29,6 @@ SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once
 REFINE_TOP = 5  # best grid points always refined by a sweep
 REFINE_ITERS = 60  # golden-section steps per refined peak
 QUARREL_MAX_DENOMINATOR = 128
-COMBO_BOUND = 10  # coefficient bound of the short sum-witness search
 TWO_PI = 2 * math.pi
 
 
@@ -313,14 +312,16 @@ def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
 
 def _refusal(exc: ValueError) -> TransferVerdict:
     """The absent-certified verdict for a pair that strong_cospectrality
-    refused with SupportMismatch or NotProportional."""
+    refused with SupportMismatch or NotProportional.  Both are decided on
+    floats (SUPPORT_TOL, PROPORTIONALITY_TOL), so the witness says so."""
     if isinstance(exc, SupportMismatch):
         detail = {"support_a": list(exc.support_a), "support_b": list(exc.support_b)}
     else:
         detail = {"eigenvalue_index": exc.index, "residual": exc.residual}
     return TransferVerdict(
         "absent-certified",
-        witness={"criterion": "strong-cospectrality", **detail}, notes=str(exc))
+        witness={"mode": "numeric", "criterion": "strong-cospectrality", **detail},
+        notes=str(exc))
 
 
 def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
@@ -458,7 +459,7 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
         return TransferVerdict(
             "numeric-evidence", time=sweep.best_time,
             fidelity=sweep.best_fidelity,
-            witness={"t_max": sweep_t_max},
+            witness={"mode": "numeric", "t_max": sweep_t_max},
             notes=f"exact PGST check unavailable ({exc}); sweep evidence only")
 
 
@@ -559,52 +560,6 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
         fc, fd = np.where(left, fx, kept), np.where(left, kept, fx)
     mid = (a + b) / 2
     return mid, f(mid)
-
-
-# ---------------------------------------------------------------------------
-# Phase-factor checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PhaseCheckResult:
-    ratios_rational: bool
-    integer_witness: Optional[tuple[int, ...]]
-
-
-def phase_checks(support_values: Sequence[Surd]) -> PhaseCheckResult:
-    """Exact phase-factor algebraicity checks: pairwise rationality
-    of eigenvalue ratios, and an integer vector k with sum k_r theta_r = 0
-    and sum k_r != 0 (found from the relation lattice when one exists)."""
-    values = [v if isinstance(v, Surd) else Surd(v) for v in support_values]
-    nonzero = [v for v in values if not v.is_zero()]
-    ratios_rational = True
-    if nonzero:
-        base = nonzero[0]
-        ratios_rational = all(v.ratio(base) is not None for v in nonzero[1:])
-    lattice = relation_lattice(values)
-    witness = _sum_witness(lattice)
-    return PhaseCheckResult(ratios_rational, witness)
-
-
-def _sum_witness(lattice: RelationLattice) -> Optional[tuple[int, ...]]:
-    gens = [g for g in lattice.generators]
-    candidates = [g for g in gens if sum(g) != 0]
-    if not candidates:
-        return None
-    best = min(candidates, key=_witness_key)
-    if len(gens) <= 3:
-        from itertools import product
-        for coeffs in product(range(-COMBO_BOUND, COMBO_BOUND + 1), repeat=len(gens)):
-            vec = [sum(c * g[i] for c, g in zip(coeffs, gens))
-                   for i in range(lattice.dim)]
-            if sum(vec) != 0 and _witness_key(vec) < _witness_key(best):
-                best = vec
-    return tuple(best)
-
-
-def _witness_key(vec) -> tuple:
-    return (max(abs(x) for x in vec), sum(abs(x) for x in vec),
-            tuple(-x for x in vec))
 
 
 def align_exact_spectrum(dec: SpectralDecomposition,

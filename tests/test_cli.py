@@ -128,9 +128,38 @@ def test_missing_input_is_analysis_failure(capsys):
     assert "error:" in err
 
 
-def test_unknown_family_is_analysis_failure(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--family", "mystery")
-    assert code == 1
+def test_unknown_family_is_flag_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--family", "mystery")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown family 'mystery'\n"
+
+
+BAD_FAMILY_CASES = {
+    "no-source": ([], "need --family or --matrix"),
+    "star-product-m0": (["--family", "star-product", "--m", "0"], "m must be at least 1"),
+    "oriented-cycle-n2": (["--family", "oriented-cycle", "--n", "2"],
+                          "cycle needs at least 3 vertices"),
+    "oriented-cycle-no-n": (["--family", "oriented-cycle"],
+                            "family 'oriented-cycle' needs parameter n"),
+    "star-product-no-m": (["--family", "star-product"],
+                          "family 'star-product' needs parameter m"),
+    "looped-path-no-m": (["--family", "looped-path"],
+                         "family 'looped-path' needs parameter m"),
+    "upst-circulant-no-n": (["--family", "upst-circulant"],
+                            "family 'upst-circulant' needs parameter n"),
+    "upst-circulant-n0": (["--family", "upst-circulant", "--n", "0"],
+                          "n must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAMILY_CASES))
+def test_bad_family_flags_are_flag_errors(capsys, case):
+    flags, message = BAD_FAMILY_CASES[case]
+    code, out, err = run_cli(capsys, "pst-check", *flags, "--from", "0", "--to", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["pst-check", "pgst-check", "sweep"])
@@ -149,7 +178,8 @@ NUMBER_FLAG_CASES = (
                                    "pgst-check", "sweep")
      for v in ("0", "-1e-8", "nan", "inf")]
     + [(cmd, "--t-max", v) for cmd in ("pst-check", "sweep") for v in ("0", "-1", "nan")]
-    + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")])
+    + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")]
+    + [(cmd, "--param", v) for cmd in ("construct", "pst-check") for v in ("nan", "inf")])
 
 
 @pytest.mark.parametrize("command, flag, value", NUMBER_FLAG_CASES)

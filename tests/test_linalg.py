@@ -44,6 +44,57 @@ def test_hermitian_symmetrizes_and_fixes_diagonal():
     assert np.allclose(h.array, h.array.conj().T)
 
 
+def symmetrization_reference(a):
+    # the former two-expression form of hermitian_from_entries
+    a = np.array(a, dtype=complex)
+    sym = (a + a.conj().T) / 2
+    np.fill_diagonal(sym, sym.diagonal().real)
+    return sym
+
+
+def test_hermitian_from_entries_bitwise_on_seeded_matrices():
+    rng = np.random.default_rng(128)
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = raw + raw.conj().T
+        if trial % 3 == 1:  # near-Hermitian: asymmetry ~1e-13
+            a = a + 1e-13 * (rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))
+        elif trial % 3 == 2:
+            a = a.real.copy()
+        got = hermitian_from_entries(a).array
+        assert got.tobytes() == symmetrization_reference(a).tobytes()
+        assert np.all(got.diagonal().imag == 0)
+
+
+def test_not_hermitian_message_names_the_asymmetry():
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 2] = 2e-11
+    with pytest.raises(NotHermitian) as err:
+        hermitian_from_entries(a)
+    assert str(err.value) == "asymmetry 2.000e-11 exceeds tolerance 1.0e-12"
+
+
+def test_hermitian_from_entries_peak_memory_at_256():
+    import tracemalloc
+    rng = np.random.default_rng(7)
+    n = 256
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = raw + raw.conj().T
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = hermitian_from_entries(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert h.dim == n
+    # the input copy and one work matrix, then the work matrix and the
+    # result: two n x n complex matrices (16 n^2 bytes each) at a time
+    assert peak <= 2.5 * 16 * n * n
+
+
 # --- spectral decomposition --------------------------------------------------
 
 def test_k3_oriented_triangle_rank_one_projectors():

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.numtheory import (DimensionTooLarge, Poly2, Surd, Transcendental,
+from qwalk import numtheory
+from qwalk.numtheory import (PROBE_TOL, DimensionTooLarge, Poly2, Surd, Transcendental,
                              charpoly_int, charpoly_mod2, float_relation_probe,
                              integer_kernel, poly_from_roots_mod2,
                              relation_lattice, solve_congruences,
@@ -252,6 +253,72 @@ def test_probe_examples():
     assert (2, -1) in float_relation_probe([1.0, 2.0], 3)
     assert (2, -1) in float_relation_probe([math.pi, 2 * math.pi], 3)
     assert float_relation_probe([1.0, math.sqrt(2)], 10) == []
+
+
+def probe_reference(values, bound):
+    # the per-vector loop float_relation_probe replaced, kept as the oracle
+    out = []
+    radix = 2 * bound + 1
+    for code in range(radix ** len(values)):
+        vec = []
+        x = code
+        for _ in range(len(values)):
+            vec.append(x % radix - bound)
+            x //= radix
+        if not any(vec):
+            continue
+        if next(v for v in vec if v) < 0:
+            continue
+        if abs(sum(l * v for l, v in zip(vec, values))) <= PROBE_TOL:
+            out.append(tuple(vec))
+    return out
+
+
+def seeded_probe_inputs(count):
+    """(values, bound) with zeros, negatives, repeated values, exact integer
+    relations and values PROBE_TOL/2 .. 2*PROBE_TOL apart."""
+    rng = np.random.default_rng(2023)
+    max_bound = {1: 10, 2: 10, 3: 6, 4: 3}
+    for _ in range(count):
+        d = int(rng.integers(1, 5))
+        values = []
+        for _ in range(d):
+            kind = int(rng.integers(0, 6))
+            if kind == 0 or not values:
+                values.append(float(rng.choice([0.0, 1.0, -2.0, math.pi, -math.sqrt(2),
+                                                math.sqrt(3), rng.uniform(-5, 5)])))
+            elif kind == 1:  # repeated value
+                values.append(values[int(rng.integers(0, len(values)))])
+            elif kind == 2:  # exact small integer relation
+                coeffs = rng.integers(-3, 4, size=len(values))
+                values.append(float(sum(int(c) * v for c, v in zip(coeffs, values))))
+            elif kind == 3:  # near PROBE_TOL
+                base = values[int(rng.integers(0, len(values)))]
+                values.append(base + float(rng.choice([5e-10, -5e-10, 1e-9, 2e-9])))
+            else:
+                values.append(float(rng.uniform(-10, 10)))
+        yield values, int(rng.integers(0, max_bound[d] + 1))
+
+
+def test_probe_matches_reference_loop(monkeypatch):
+    inputs = list(seeded_probe_inputs(300))
+    expected = [probe_reference(values, bound) for values, bound in inputs]
+    assert sum(map(len, expected)) > 1000
+    assert {len(values) for values, _ in inputs} == {1, 2, 3, 4}
+    for chunk in (numtheory.PROBE_CHUNK, 37):  # 37: many chunk boundaries
+        monkeypatch.setattr(numtheory, "PROBE_CHUNK", chunk)
+        for (values, bound), want in zip(inputs, expected):
+            assert float_relation_probe(values, bound) == want, (values, bound)
+
+
+def test_probe_spans_chunks():
+    # (2*10 + 1)^4 codes are more than one chunk; (1, 1, -1, 0) and its
+    # multiples are the relations
+    values = [1.0, math.sqrt(2), 1.0 + math.sqrt(2), math.pi]
+    assert 21 ** 4 > numtheory.PROBE_CHUNK
+    got = float_relation_probe(values, 10)
+    assert got == probe_reference(values, 10)
+    assert (1, 1, -1, 0) in got and (10, 10, -10, 0) in got
 
 
 def test_probe_budget():

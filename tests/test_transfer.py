@@ -13,7 +13,6 @@ from qwalk.transfer import (InconsistentQuarrels, NotProportional, QuarrelSet,
                             SupportMismatch, align_exact_spectrum, certify_pgst,
                             certify_pst, check_periodicity, eigenvalue_support,
                             PEAK_TIE_TOL, fidelity_sweep, pgst_verdict,
-                            phase_checks,
                             pst_verdict, solve_phase_congruences,
                             solve_pst_congruences, strong_cospectrality)
 
@@ -410,16 +409,26 @@ def test_certify_pgst_direction_symmetry():
 
 def test_pgst_refusal_carries_pst_witness():
     # the path's middle vertex misses an eigenvalue its end sees; the
-    # oriented 6-cycle's vertices 0 and 3 are not proportional at index 0
+    # oriented 6-cycle's vertices 0 and 3 are not proportional at index 0;
+    # both refusals are float decisions and say so
     p3 = spectral_decomposition(hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     c6 = spectral_decomposition(build_family("oriented-cycle", n=6).matrix)
     for dec, a, b, fields in ((p3, 0, 1, {"support_a", "support_b"}),
                               (c6, 0, 3, {"eigenvalue_index", "residual"})):
         pgst, pst = pgst_verdict(dec, a, b), pst_verdict(dec, a, b)
         assert pgst.kind == pst.kind == "absent-certified"
-        assert set(pgst.witness) == {"criterion"} | fields
+        assert set(pgst.witness) == {"mode", "criterion"} | fields
+        assert pgst.witness["mode"] == "numeric"
         assert pgst.witness == pst.witness
         assert pgst.notes == pst.notes
+
+
+def test_pgst_sweep_fallback_says_numeric():
+    # no exact spectrum for the oriented 4-cycle: PGST falls back to a sweep
+    c4 = spectral_decomposition(build_family("oriented-cycle", n=4).matrix)
+    verdict = pgst_verdict(c4, 0, 2)
+    assert verdict.kind == "numeric-evidence"
+    assert verdict.witness == {"mode": "numeric", "t_max": 200.0}
 
 
 def test_pgst_verdict_numeric_fallback():
@@ -546,27 +555,6 @@ def test_not_proportional_witness_ignores_noise_angle():
     verdict = pst_verdict(dec, 0, 3)
     assert verdict.kind == "absent-certified"
     assert abs(verdict.witness["residual"] - 1 / 3) <= 1e-12
-
-
-# --- phase checks ---------------------------------------------------------------------
-
-def test_phase_checks_examples():
-    res = phase_checks([Surd(1), Surd(2), Surd(3)])
-    assert res.ratios_rational
-    assert res.integer_witness is not None
-    assert sum(res.integer_witness) != 0
-
-    res = phase_checks(K3_EXACT)
-    assert res.ratios_rational
-    witness = res.integer_witness
-    assert witness is not None and sum(witness) != 0
-    assert sum((v * c for v, c in zip(K3_EXACT, witness)), Surd(0)).is_zero()
-    # the multiplicity vector (1,1,1) is itself a valid lattice member
-    assert relation_lattice(K3_EXACT).contains([1, 1, 1])
-
-    res = phase_checks([Surd(1), Surd.sqrt(2)])
-    assert not res.ratios_rational
-    assert res.integer_witness is None
 
 
 # --- verdict serialization --------------------------------------------------------------
