@@ -18,7 +18,7 @@ from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, align_exact_spectrum,
                        eigenvalue_support, fidelity_sweep, pgst_verdict,
                        pst_verdict, strong_cospectrality)
-from .upst_search import classify_all, exhaustive_rule_out
+from .upst_search import classify_all
 
 
 class FlagError(Exception):
@@ -35,10 +35,7 @@ def _load_bundle(args) -> FamilyBundle:
             val = getattr(args, key.replace("-", "_"), None)
             if val is not None:
                 params[key] = val
-        try:
-            return build_family(args.family, **params)
-        except BadFamilyParameters as exc:
-            raise FlagError(str(exc)) from None
+        return build_family(args.family, **params)
     raise FlagError("need --family or --matrix")
 
 
@@ -164,10 +161,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_search_upst(args) -> int:
-    if args.n in (3, 4, 5):
-        reports = exhaustive_rule_out(args.n)
-    else:
-        reports = classify_all(args.n)
+    if args.n < 2:
+        raise FlagError(f"--n {args.n} must be at least 2")
+    reports = classify_all(args.n)
     with _out_stream(args) as fh:
         for report in reports:
             fh.write(report.to_json_line() + "\n")
@@ -273,7 +269,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except FlagError as exc:
+    except (FlagError, BadFamilyParameters) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

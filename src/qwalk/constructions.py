@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (HermitianMatrix, SpectralDecomposition,
-                     hermitian_from_entries, kron, spectral_decomposition)
+from .linalg import (HermitianMatrix, hermitian_from_entries, kron,
+                     spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 
@@ -71,10 +71,6 @@ class OrientedGraph:
                 raise ValueError(f"arc ({a}, {b}) out of range")
             if (b, a) in self.arcs:
                 raise ValueError(f"anti-parallel arcs between {a} and {b}")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.arcs)
 
 
 def oriented_to_hermitian(g: OrientedGraph) -> HermitianMatrix:
@@ -224,7 +220,6 @@ class RootedStarProduct:
     matrix: HermitianMatrix
     m: int
     base_dim: int
-    base_dec: SpectralDecomposition
     predicted_eigenvalues: np.ndarray  # with multiplicity, sorted
     branches: list[tuple[float, float, float]]  # (theta_r, lambda+, lambda-)
     projectors: list[tuple[float, np.ndarray]]  # (eigenvalue, projector)
@@ -272,7 +267,7 @@ def rooted_star_product(h_x: HermitianMatrix, m: int) -> RootedStarProduct:
         zero_block[1:, 1:] = np.eye(m) - np.ones((m, m)) / m
         projectors.append((0.0, kron(zero_block, np.eye(n)).array))
         predicted.extend([0.0] * ((m - 1) * n))
-    return RootedStarProduct(hermitian_from_entries(h_y), m, n, dec,
+    return RootedStarProduct(hermitian_from_entries(h_y), m, n,
                              np.sort(np.array(predicted)), branches, projectors)
 
 
@@ -349,7 +344,6 @@ class LoopedPathProduct:
     gamma_tag: Optional[Transcendental]
     thetas: np.ndarray                      # Fourier-ordered base spectrum
     thetas_exact: Optional[list[Fraction]]
-    jacobis: list[JacobiMatrix]
     polynomials: list[OrthogonalPolynomials]
     eigenpairs: list[tuple[int, int, float, np.ndarray]]  # (j, s, lam, vec)
 
@@ -407,11 +401,9 @@ def rooted_looped_path_product(h_x, m: int, gamma: float,
     h_z = kron(root_block, a).array + kron(path, np.eye(n)).array
     thetas = circulant_thetas(a)
     fourier = dft_matrix(n)
-    jacobis, polys, eigenpairs = [], [], []
+    polys, eigenpairs = [], []
     for j in range(n):
-        jm = JacobiMatrix(m, gamma, float(thetas[j]))
-        op = orthogonal_polynomials(jm)
-        jacobis.append(jm)
+        op = orthogonal_polynomials(JacobiMatrix(m, gamma, float(thetas[j])))
         polys.append(op)
         for s in range(m):
             vec = np.kron(op.eigenvectors[:, s], fourier[:, j])
@@ -421,8 +413,7 @@ def rooted_looped_path_product(h_x, m: int, gamma: float,
                                  for f, t in zip(exact, thetas)):
         raise ValueError("exact base spectrum disagrees with the matrix")
     return LoopedPathProduct(hermitian_from_entries(h_z), n, m, gamma,
-                             gamma_tag, thetas, exact, jacobis, polys,
-                             eigenpairs)
+                             gamma_tag, thetas, exact, polys, eigenpairs)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +535,7 @@ def build_family(name: str, **params) -> FamilyBundle:
             raise BadFamilyParameters(f"family {name!r} needs parameter {required}")
     try:
         bundle = _build_family(key, params)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadFamilyParameters(str(exc)) from exc
     if bundle is None:
         raise BadFamilyParameters(f"unknown family {name!r}")
@@ -618,12 +609,14 @@ def build_family_spec(spec: dict) -> FamilyBundle:
     """Build from a JSON construction spec, e.g.
     {"family": "upst_circulant", "n": 3, "alpha": "0", "beta": "1",
      "h": 1, "c": [0, 0, 0]}."""
-    spec = dict(spec)
-    try:
-        name = spec.pop("family")
-    except KeyError:
-        raise ValueError('construction spec needs a "family" key') from None
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise BadFamilyParameters('construction spec needs a "family" key')
+    params = dict(spec)
+    name = str(params.pop("family"))
     for rational_key in ("alpha", "beta"):
-        if rational_key in spec:
-            spec[rational_key] = Fraction(str(spec[rational_key]))
-    return build_family(name, **spec)
+        if rational_key in params:
+            try:
+                params[rational_key] = Fraction(str(params[rational_key]))
+            except ValueError as exc:
+                raise BadFamilyParameters(f"{rational_key}: {exc}") from None
+    return build_family(name, **params)

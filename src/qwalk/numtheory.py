@@ -1,5 +1,6 @@
 """Exact arithmetic for quadratic surds, integer relation lattices, linear
-congruences over the rationals, and characteristic polynomials over GF(2).
+congruences over the rationals, and integer characteristic polynomials
+(with their gcds over the rationals and reductions over GF(2)).
 
 Values of the form q0 + sum qi*sqrt(di) (qi rational, di square-free) carry
 the spectra of every construction in this package exactly.  Transcendental
@@ -115,16 +116,8 @@ class Surd:
         return cls(0, None, {t: coeff})
 
     @property
-    def rational_part(self) -> Fraction:
-        return self._rat
-
-    @property
     def radical_terms(self) -> dict[int, Fraction]:
         return dict(self._rad)
-
-    @property
-    def symbol_terms(self) -> dict[Transcendental, Fraction]:
-        return dict(self._sym)
 
     @property
     def has_symbols(self) -> bool:
@@ -143,9 +136,6 @@ class Surd:
 
     def is_zero(self) -> bool:
         return not self._rat and not self._rad and not self._sym
-
-    def is_rational(self) -> bool:
-        return not self._rad and not self._sym
 
     def __float__(self) -> float:
         x = float(self._rat)
@@ -516,23 +506,46 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> list[int]:
     if n == 0:
         return [1]
     coeffs = [1, -a[0][0]]
-    for r in range(2, n + 1):
-        row_r = a[r - 1][:r - 1]
-        col_r = [a[i][r - 1] for i in range(r - 1)]
-        vec = [1, -a[r - 1][r - 1]]
-        w = col_r
-        for _ in range(r - 1):
-            vec.append(-sum(row_r[i] * w[i] for i in range(r - 1)))
-            w = [sum(a[i][j] * w[j] for j in range(r - 1)) for i in range(r - 1)]
-        new = [0] * (r + 1)
-        for i in range(r + 1):
-            s = 0
-            for j in range(len(coeffs)):
-                if 0 <= i - j < len(vec):
-                    s += vec[i - j] * coeffs[j]
-            new[i] = s
-        coeffs = new
+    for m in range(1, n):
+        # the leading m x m block A, the row R and column C beside it, and
+        # the next diagonal entry d: the Toeplitz column (1, -d, -RC, -RAC,
+        # ..., -RA^(m-1)C) times the block's coefficients
+        top = [row[:m] for row in a[:m]]
+        row_m = a[m][:m]
+        w = [row[m] for row in a[:m]]
+        vec = [1, -a[m][m], -sum(x * y for x, y in zip(row_m, w))]
+        for _ in range(m - 1):
+            w = [sum(x * y for x, y in zip(row, w)) for row in top]
+            vec.append(-sum(x * y for x, y in zip(row_m, w)))
+        coeffs = [sum(vec[i - j] * coeffs[j] for j in range(min(i, m) + 1))
+                  for i in range(m + 2)]
     return coeffs
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p with leading zeros stripped and its content divided out."""
+    start = 0
+    while start < len(p) and p[start] == 0:
+        start += 1
+    p = p[start:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd over Q of two integer polynomials (coefficients descending), as a
+    primitive integer polynomial; [] when both are zero.  Euclid on
+    pseudo-remainders, dividing out the content at every step."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        lead, r = b[0], a
+        while len(r) >= len(b):
+            c = r[0]
+            r = [lead * x - c * y for x, y in
+                 zip(r, b + [0] * (len(r) - len(b)))][1:]
+            r = _primitive(r)
+        a, b = b, r
+    return a
 
 
 def charpoly_mod2(matrix: Sequence[Sequence[int]]) -> Poly2:

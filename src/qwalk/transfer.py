@@ -426,13 +426,13 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
     if x is None:
         return TransferVerdict(
             "absent-certified",
-            witness={"criterion": "kronecker", **witness,
+            witness={"mode": "exact", "criterion": "kronecker", **witness,
                      "generators": lattice.generators},
             notes=notes or "incompatible integer relations (Kronecker criterion)")
     delta = TWO_PI * float(x)
     return TransferVerdict(
         "PGST-certified", phase=None, time=None,
-        witness={"delta_turns": x, "delta": delta,
+        witness={"mode": "exact", "delta_turns": x, "delta": delta,
                  "generators": lattice.generators},
         notes=notes or "Kronecker criterion satisfied on the relation lattice")
 

@@ -12,17 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from .constructions import OrientedGraph, oriented_to_hermitian
-from .linalg import HermitianMatrix, spectral_decomposition
-from .numtheory import Surd, charpoly_mod2, poly_from_roots_mod2, square_free_part
+from .constructions import OrientedGraph
+from .numtheory import (Surd, charpoly_int, charpoly_mod2, poly_gcd,
+                        poly_from_roots_mod2, square_free_part)
 from .transfer import check_periodicity
-
-SIMPLE_GAP_TOL = 1e-8
-FLAT_TOL = 1e-7
-GRID_TOL = 1e-7
-RATIONAL_MAX_DENOMINATOR = 1000
 
 
 @dataclass
@@ -58,7 +51,7 @@ class NecessaryConditions:
     simple: bool
     flat: bool
     periodic: bool
-    integer_grid: Optional[bool] = None  # theta_r in Z*sqrt(Delta); oriented only
+    integer_grid: Optional[bool] = None  # theta_r in Z*sqrt(Delta)
     delta: Optional[int] = None
     grid_coeffs: Optional[tuple[int, ...]] = None
     failure: Optional[str] = None
@@ -69,88 +62,80 @@ class NecessaryConditions:
                 and self.integer_grid is not False)
 
 
-def recognize_sqrt_grid(eigenvalues: Sequence[float]
-                        ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Recognize theta_r = z_r*sqrt(Delta) with integer z_r and square-free
-    Delta; returns (Delta, z) or None.  Rounds theta^2 to integers, takes
-    the square-free part of their gcd, and verifies residuals on the grid."""
-    thetas = [float(t) for t in eigenvalues]
-    squares = []
-    for t in thetas:
-        sq = t * t
-        near = round(sq)
-        if abs(sq - near) > GRID_TOL * max(1.0, abs(2 * t)):
-            return None
-        squares.append(near)
-    g = 0
-    for s in squares:
-        g = math.gcd(g, s)
-    if g == 0:
-        return 1, tuple(0 for _ in thetas)
-    delta, _ = square_free_part(g)
-    root = math.sqrt(delta)
-    zs = []
-    for t in thetas:
-        z = round(t / root)
-        if abs(t - z * root) > GRID_TOL:
-            return None
-        zs.append(z)
-    return delta, tuple(zs)
-
-
-def recognize_rational_spectrum(eigenvalues: Sequence[float]):
-    """Round eigenvalues to rationals of denominator at most
-    RATIONAL_MAX_DENOMINATOR; None unless every residual clears GRID_TOL."""
-    out = []
-    for t in eigenvalues:
-        q = Fraction(float(t)).limit_denominator(RATIONAL_MAX_DENOMINATOR)
-        if abs(float(t) - float(q)) > GRID_TOL:
-            return None
-        out.append(q)
-    return out
-
-
-def upst_necessary_conditions(h: HermitianMatrix,
-                              oriented: bool = True) -> NecessaryConditions:
+def upst_necessary_conditions(graph: OrientedGraph) -> NecessaryConditions:
     """Checklist of necessary conditions for universal perfect state
-    transfer: simple spectrum, flat eigenvectors (|entry| = 1/sqrt(n)),
-    periodicity of every vertex via the exact ratio condition on the
-    recognized spectrum, and for oriented inputs membership of the
-    eigenvalues in an integer sqrt(Delta) grid."""
-    n = h.dim
-    dec = spectral_decomposition(h)
-    simple = len(dec.eigenvalues) == n and (
-        n == 1 or float(np.min(np.diff(dec.eigenvalues))) > SIMPLE_GAP_TOL)
-    if not simple:
+    transfer on an oriented graph, each decided in integer arithmetic from
+    the skew matrix S (H = iS): simple spectrum, flat eigenvectors
+    (|entry| = 1/sqrt(n)), eigenvalues in an integer sqrt(Delta) grid, and
+    periodicity of every vertex via the exact ratio condition.
+
+    det(yI - S) has vanishing odd-offset coefficients c_1, c_3, ..., so
+    det(xI - H) = sum_k (-1)^k c_2k x^(n-2k) = x^(n mod 2) q(x^2): the
+    eigenvalues come in pairs +-theta, and q has the roots theta^2."""
+    n = graph.n
+    s = [[0] * n for _ in range(n)]
+    for a, b in graph.arcs:
+        s[a][b], s[b][a] = 1, -1
+    c = charpoly_int(s)
+    q = [(-1) ** k * c[2 * k] for k in range(n // 2 + 1)]
+    # simple: no repeated theta^2 and no theta = 0 pair, i.e. q square-free
+    # with q(0) != 0
+    derivative = [(len(q) - 1 - i) * x for i, x in enumerate(q[:-1])]
+    if q[-1] == 0 or len(poly_gcd(q, derivative)) > 1:
         return NecessaryConditions(False, False, False,
                                    failure="degenerate spectrum")
-    flat = float(np.max(np.abs(dec.support_norms - 1 / math.sqrt(n)))) <= FLAT_TOL
-    if not flat:
-        return NecessaryConditions(True, False, False,
-                                   failure="eigenvectors not flat")
-    grid = recognize_sqrt_grid(dec.eigenvalues)
-    on_grid = (grid is not None) if oriented else None
-    delta, zs = grid if grid is not None else (None, None)
-    if oriented and grid is None:
+    # with a simple spectrum each E_r is a polynomial in H of degree < n, so
+    # E_r[v, v] = 1/n for all v iff (S^k)[v, v] is the same at every vertex
+    # for k < n (walk-regularity); odd powers of S have a zero diagonal, and
+    # (S^2j)[v, v] = (-1)^j |row v of S^j|^2 since S is skew
+    walks, columns = s, list(zip(*s))
+    for k in range(2, n, 2):
+        if k > 2:
+            walks = [[sum(x * y for x, y in zip(row, col)) for col in columns]
+                     for row in walks]
+        norms = [sum(x * x for x in row) for row in walks]
+        if norms.count(norms[0]) != n:
+            return NecessaryConditions(True, False, False,
+                                       failure="eigenvectors not flat")
+    # every theta^2 is at most (max degree)^2, the spectral radius bound
+    bound = max((sum(map(abs, row)) for row in s), default=0) ** 2
+    roots = [y for y in range(bound + 1) if _horner(q, y) == 0]
+    grid = _sqrt_grid(roots, n) if len(roots) == len(q) - 1 else None
+    if grid is None:
         return NecessaryConditions(True, True, False, integer_grid=False,
                                    failure="spectrum not in Z*sqrt(Delta)")
-    if grid is not None:
-        values = [Surd.sqrt(delta, z) for z in zs]
-    else:
-        rationals = recognize_rational_spectrum(dec.eigenvalues)
-        values = None if rationals is None else [Surd(q) for q in rationals]
-    if values is None:
-        return NecessaryConditions(True, True, False, integer_grid=on_grid,
-                                   failure="spectrum not recognized exactly; "
-                                           "periodicity undecided")
-    periodic, _ = check_periodicity(values)
-    zs_out = None if zs is None else tuple(zs)
+    delta, zs = grid
+    periodic, _ = check_periodicity([Surd.sqrt(delta, z) for z in zs])
     if not periodic:
-        return NecessaryConditions(True, True, False, integer_grid=on_grid,
-                                   delta=delta, grid_coeffs=zs_out,
+        return NecessaryConditions(True, True, False, integer_grid=True,
+                                   delta=delta, grid_coeffs=zs,
                                    failure="ratio condition fails")
-    return NecessaryConditions(True, True, True, integer_grid=on_grid,
-                               delta=delta, grid_coeffs=zs_out)
+    return NecessaryConditions(True, True, True, integer_grid=True,
+                               delta=delta, grid_coeffs=zs)
+
+
+def _horner(coeffs: Sequence[int], y: int) -> int:
+    value = 0
+    for c in coeffs:
+        value = value * y + c
+    return value
+
+
+def _sqrt_grid(squares: Sequence[int], n: int
+               ) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(Delta, ascending z) with theta = z*sqrt(Delta) over the spectrum
+    whose nonzero squares are `squares` (plus theta = 0 for odd n), Delta
+    the square-free part of their gcd; None when some theta^2/Delta is not
+    a perfect square."""
+    g = math.gcd(*squares)
+    delta = square_free_part(g)[0] if g else 1
+    zs = []
+    for y in squares:
+        z = math.isqrt(y // delta)
+        if z * z * delta != y:
+            return None
+        zs.append(z)
+    return delta, tuple(sorted([-z for z in zs] + [0] * (n % 2) + zs))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +175,7 @@ def exhaustive_rule_out(n: int) -> list[UPSTReport]:
     reports = []
     for name, k, edges in regular_underlying_graphs(n):
         for mask, graph in orientations(edges, n):
-            h = oriented_to_hermitian(graph)
-            checks = upst_necessary_conditions(h)
+            checks = upst_necessary_conditions(graph)
             verdict = "survives" if checks.all_pass else "ruled-out-exhaustive"
             witness = {"orientation_mask": mask}
             if checks.failure:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import (OrientedGraph, SIGNED_SHIFT_4,
+from .constructions import (OrientedGraph, SIGNED_SHIFT_4, build_family,
                             c4_tensor_construction, one_way_family_4,
                             one_way_family_8, oriented_k2, oriented_k3,
                             oriented_hypercube, oriented_to_hermitian,
@@ -29,14 +29,11 @@ from .transfer import (align_exact_spectrum, certify_pgst, certify_pst,
 from .upst_search import (charpoly_rule_out, exhaustive_rule_out, nk_table,
                           spectrum_candidates)
 
-K3_EXACT = [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]
-
-
 def crit_oriented_k3_universal_pst() -> tuple[bool, str]:
     """Every ordered pair of the oriented triangle gets certified PST."""
-    h = oriented_to_hermitian(oriented_k3())
-    dec = spectral_decomposition(h)
-    exact = align_exact_spectrum(dec, K3_EXACT)
+    bundle = build_family("oriented-k3")
+    dec = spectral_decomposition(bundle.matrix)
+    exact = align_exact_spectrum(dec, bundle.exact_spectrum)
     worst = 1.0
     for a in range(3):
         for b in range(3):

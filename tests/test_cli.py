@@ -214,3 +214,73 @@ def test_module_entry_point():
                            "--m", "6"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,27k^2+27k+6,true")
+
+
+MODE_CASES = [
+    ("oriented-k2", (), (0, 1)),
+    ("oriented-k3", (), (0, 2)),
+    ("upst-circulant", ("--n", "3"), (1, 0)),
+    ("star-product", ("--m", "3"), (0, 1)),   # Kronecker refusal
+    ("star-product", ("--m", "6"), (0, 1)),   # PGST-certified
+    ("star-product", ("--m", "2"), (0, 4)),   # root to leaf
+    ("looped-path", ("--n", "3", "--m", "2"), (0, 1)),
+    ("one-way-4", (), (2, 0)),
+    ("one-way-4", (), (0, 2)),
+    ("one-way-8", (), (0, 3)),
+    ("c4-tensor-k2", (), (0, 3)),
+    ("oriented-cycle", ("--n", "4"), (0, 2)),
+    ("oriented-cycle", ("--n", "6"), (0, 3)),  # strong-cospectrality refusal
+]
+
+
+@pytest.mark.parametrize("command", ["pst-check", "pgst-check"])
+@pytest.mark.parametrize("family, extra, pair", MODE_CASES)
+def test_every_verdict_says_its_mode(capsys, command, family, extra, pair):
+    code, out, _ = run_cli(capsys, command, "--family", family, *extra,
+                           "--from", str(pair[0]), "--to", str(pair[1]))
+    assert code == 0
+    assert json.loads(out)["witness"]["mode"] in ("exact", "numeric")
+
+
+def test_pgst_verdicts_from_the_kronecker_engine_are_exact(capsys):
+    for m, kind in (("6", "PGST-certified"), ("3", "absent-certified")):
+        _, out, _ = run_cli(capsys, "pgst-check", "--family", "star-product",
+                            "--m", m, "--from", "0", "--to", "1")
+        verdict = json.loads(out)
+        assert verdict["kind"] == kind
+        assert verdict["witness"]["mode"] == "exact"
+
+
+BAD_SPECS = {
+    "missing-parameter": ('{"family": "oriented_cycle"}',
+                          "family 'oriented_cycle' needs parameter n"),
+    "no-family-key": ('{"n": 3}', 'construction spec needs a "family" key'),
+    "not-an-object": ('[1, 2]', 'construction spec needs a "family" key'),
+    "unknown-family": ('{"family": "mystery"}', "unknown family 'mystery'"),
+    "bad-parameter": ('{"family": "oriented_cycle", "n": 2}',
+                      "cycle needs at least 3 vertices"),
+    "bad-rational": ('{"family": "upst_circulant", "n": 3, "alpha": "x"}',
+                     "alpha: Invalid literal for Fraction: 'x'"),
+    "parameter-of-wrong-type": ('{"family": "oriented_cycle", "n": [3]}', None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_construction_spec_is_flag_error(tmp_path, capsys, case):
+    text, message = BAD_SPECS[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run_cli(capsys, "construct", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_search_upst_small_n_is_flag_error(capsys, n):
+    code, out, err = run_cli(capsys, "search-upst", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n {n} must be at least 2\n"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qwalk import numtheory
 from qwalk.numtheory import (PROBE_TOL, DimensionTooLarge, Poly2, Surd, Transcendental,
                              charpoly_int, charpoly_mod2, float_relation_probe,
-                             integer_kernel, poly_from_roots_mod2,
+                             integer_kernel, poly_from_roots_mod2, poly_gcd,
                              relation_lattice, solve_congruences,
                              square_free_part)
 
@@ -355,6 +355,28 @@ def test_k7_rule_out_example():
                           t).all_coeffs()
     assert rhs == Poly2(reversed([int(c) % 2 for c in expanded]))
     assert lhs != rhs  # the case is ruled out
+
+
+def test_poly_gcd_against_sympy_oracle():
+    rng = np.random.default_rng(13)
+    t = sympy.symbols("t")
+    for _ in range(60):
+        common, f, g = (rng.integers(-4, 5, int(rng.integers(1, 4))).tolist()
+                        for _ in range(3))
+        a = sympy.Poly(common, t) * sympy.Poly(f, t)
+        b = sympy.Poly(common, t) * sympy.Poly(g, t)
+        a, b = ([int(c) for c in p.all_coeffs()] if not p.is_zero else []
+                for p in (a, b))
+        mine = poly_gcd(a, b)
+        oracle = sympy.gcd(sympy.Poly(a or [0], t), sympy.Poly(b or [0], t))
+        if oracle.is_zero:
+            assert mine == []
+            continue
+        want = [int(c) for c in oracle.primitive()[1].all_coeffs()]
+        assert mine == want or mine == [-c for c in want]
+    assert poly_gcd([0, 0], []) == []
+    assert poly_gcd([2, 4], []) == [1, 2]
+    assert len(poly_gcd([1, 0, -2], [2, 0])) == 1  # t^2 - 2 is square-free
 
 
 def test_charpoly_mod2_requires_symmetry():

@@ -1,14 +1,19 @@
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qwalk.constructions import (oriented_cycle, oriented_k3,
-                                 oriented_to_hermitian, upst_circulant)
-from qwalk.upst_search import (charpoly_rule_out, classify_all,
-                               complement_c7_adjacency, exhaustive_rule_out,
-                               nk_table, recognize_sqrt_grid,
+from qwalk.constructions import (OrientedGraph, oriented_cycle, oriented_k2,
+                                 oriented_k3, oriented_to_hermitian,
+                                 upst_circulant)
+from qwalk.numtheory import Surd, square_free_part
+from qwalk.transfer import check_periodicity
+from qwalk.upst_search import (NecessaryConditions, charpoly_rule_out,
+                               classify_all, complement_c7_adjacency,
+                               exhaustive_rule_out, nk_table, orientations,
                                regular_underlying_graphs, sigma_bound_filter,
                                spectrum_candidates, upst_necessary_conditions)
 
@@ -33,14 +38,13 @@ def test_sigma_bound_edge_count():
 # --- necessary conditions --------------------------------------------------------
 
 def test_k3_passes_all_conditions():
-    checks = upst_necessary_conditions(oriented_to_hermitian(oriented_k3()))
+    checks = upst_necessary_conditions(oriented_k3())
     assert checks.all_pass
     assert checks.delta == 3
 
 
 def test_cyclic_c4_fails():
-    checks = upst_necessary_conditions(
-        oriented_to_hermitian(oriented_cycle(4)))
+    checks = upst_necessary_conditions(oriented_cycle(4))
     assert not checks.all_pass
     # 4x4 eigensolver oracle: the cyclic orientation has a repeated eigenvalue
     dec_values = np.linalg.eigvalsh(
@@ -50,21 +54,107 @@ def test_cyclic_c4_fails():
 
 
 def test_upst_circulant_passes():
-    circ = upst_circulant(3, 0, 1, 1)
-    checks = upst_necessary_conditions(circ.matrix, oriented=False)
-    assert checks.all_pass  # flatness of Fourier vectors is structural
-    assert checks.periodic  # rational spectrum satisfies the ratio condition
-    checks = upst_necessary_conditions(
-        upst_circulant(5, "1/2", "1/3", 2).matrix, oriented=False)
-    assert checks.all_pass
+    # the circulants are not oriented graphs: their exact spectra are
+    # simple and satisfy the ratio condition (flatness of the Fourier
+    # vectors is checked in test_constructions)
+    for circ in (upst_circulant(3, 0, 1, 1), upst_circulant(5, "1/2", "1/3", 2)):
+        assert len(set(circ.thetas)) == len(circ.thetas)
+        assert check_periodicity([Surd(t) for t in circ.thetas])[0]
 
 
 def test_sqrt_grid_recognition():
-    root3 = np.sqrt(3)
-    assert recognize_sqrt_grid([-root3, 0.0, root3]) == (3, (-1, 0, 1))
-    assert recognize_sqrt_grid([-3.0, -1.0, 1.0, 3.0]) == (1, (-3, -1, 1, 3))
-    assert recognize_sqrt_grid([0.5, 1.0]) is None
-    assert recognize_sqrt_grid([0.0, 0.0]) == (1, (0, 0))
+    for graph, grid in ((OrientedGraph(1, frozenset()), (1, (0,))),
+                        (oriented_k2(), (1, (-1, 1))),
+                        (oriented_k3(), (3, (-1, 0, 1)))):
+        checks = upst_necessary_conditions(graph)
+        assert checks.all_pass
+        assert (checks.delta, checks.grid_coeffs) == grid
+
+
+def test_isolated_vertices_are_degenerate():
+    # q(y) = y is square-free, but theta = 0 is a double eigenvalue
+    checks = upst_necessary_conditions(OrientedGraph(2, frozenset()))
+    assert checks == NecessaryConditions(False, False, False,
+                                         failure="degenerate spectrum")
+
+
+def test_non_regular_graph_fails_flatness_at_k2():
+    # the path 0 -> 1 -> 2 has spectrum 0, +-sqrt(2) but degrees 1, 2, 1
+    checks = upst_necessary_conditions(OrientedGraph(3, frozenset({(0, 1), (1, 2)})))
+    assert checks == NecessaryConditions(True, False, False,
+                                         failure="eigenvectors not flat")
+
+
+def test_n4_orientation_fails_only_the_grid():
+    # the transitive tournament on 4 vertices is simple and walk-regular,
+    # with theta^2 = 3 +- sqrt(8)
+    arcs = frozenset((a, b) for a in range(4) for b in range(a + 1, 4))
+    checks = upst_necessary_conditions(OrientedGraph(4, arcs))
+    assert checks == NecessaryConditions(True, True, False, integer_grid=False,
+                                         failure="spectrum not in Z*sqrt(Delta)")
+
+
+def _float_conditions(graph: OrientedGraph) -> NecessaryConditions:
+    """The eigensolver version of the checklist: gap > 1e-8, flatness within
+    1e-7, theta = z*sqrt(Delta) recognized within 1e-7."""
+    n = graph.n
+    thetas, vectors = np.linalg.eigh(oriented_to_hermitian(graph).array)
+    if n > 1 and np.min(np.diff(thetas)) <= 1e-8:
+        return NecessaryConditions(False, False, False,
+                                   failure="degenerate spectrum")
+    if np.max(np.abs(np.abs(vectors) - 1 / math.sqrt(n))) > 1e-7:
+        return NecessaryConditions(True, False, False,
+                                   failure="eigenvectors not flat")
+    squares = [round(t * t) for t in thetas]
+    if any(abs(t * t - y) > 1e-7 * max(1.0, abs(2 * t))
+           for t, y in zip(thetas, squares)):
+        return _off_grid()
+    g = math.gcd(*squares)
+    delta = square_free_part(g)[0] if g else 1
+    zs = tuple(round(t / math.sqrt(delta)) for t in thetas)
+    if any(abs(t - z * math.sqrt(delta)) > 1e-7 for t, z in zip(thetas, zs)):
+        return _off_grid()
+    periodic, _ = check_periodicity([Surd.sqrt(delta, z) for z in zs])
+    return NecessaryConditions(
+        True, True, periodic, integer_grid=True, delta=delta, grid_coeffs=zs,
+        failure=None if periodic else "ratio condition fails")
+
+
+def _off_grid() -> NecessaryConditions:
+    return NecessaryConditions(True, True, False, integer_grid=False,
+                               failure="spectrum not in Z*sqrt(Delta)")
+
+
+def test_exact_conditions_match_eigensolver_on_all_small_orientations():
+    graphs = [graph for n in (3, 4, 5)
+              for _, _, edges in regular_underlying_graphs(n)
+              for _, graph in orientations(edges, n)]
+    assert len(graphs) == 1144
+    failures = Counter()
+    for graph in graphs:
+        checks = upst_necessary_conditions(graph)
+        assert checks == _float_conditions(graph), sorted(graph.arcs)
+        failures[checks.failure] += 1
+    # every branch of the checklist is exercised
+    assert failures == {None: 8, "degenerate spectrum": 32,
+                        "eigenvectors not flat": 640,
+                        "spectrum not in Z*sqrt(Delta)": 464}
+
+
+def test_exact_conditions_match_eigensolver_on_random_graphs():
+    rng = random.Random(20231)
+    failures = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        arcs = frozenset((a, b) if rng.random() < 0.5 else (b, a)
+                         for a in range(n) for b in range(a + 1, n)
+                         if rng.random() < density)
+        graph = OrientedGraph(n, arcs)
+        checks = upst_necessary_conditions(graph)
+        assert checks == _float_conditions(graph), (n, sorted(arcs))
+        failures[checks.failure] += 1
+    assert len(failures) >= 4, failures
 
 
 # --- exhaustive search -------------------------------------------------------------
