@@ -526,27 +526,45 @@ def build_family(name: str, **params) -> FamilyBundle:
 
     Recognized: oriented_k2, oriented_k3, oriented_cycle(n),
     hypercube(m), c4_tensor_k2, c4_tensor_cube(m), upst_circulant(n, alpha,
-    beta, h, c), star_product(m), looped_path(n, m, param), one_way_4(param),
-    one_way_8(param).  An unknown name, a missing required parameter or a
-    parameter the family cannot be built from raises BadFamilyParameters."""
+    beta, h, c), star_product(m), looped_path(n, m, param, alpha, beta, h, c),
+    one_way_4(param), one_way_8(param).  An unknown name, a missing
+    required parameter, a parameter the family does not take, or one it
+    cannot be built from raises BadFamilyParameters."""
     key = name.replace("-", "_").lower()
-    for required in _REQUIRED_PARAMETERS.get(key, ()):
-        if required not in params:
-            raise BadFamilyParameters(f"family {name!r} needs parameter {required}")
+    if key not in _FAMILY_PARAMETERS:
+        raise BadFamilyParameters(f"unknown family {name!r}")
+    required, optional = _FAMILY_PARAMETERS[key]
+    unexpected = sorted(set(params) - set(required) - set(optional))
+    if unexpected:
+        raise BadFamilyParameters(
+            f"family {name!r} does not take parameter {unexpected[0]}")
+    for parameter in required:
+        if parameter not in params:
+            raise BadFamilyParameters(f"family {name!r} needs parameter {parameter}")
     try:
-        bundle = _build_family(key, params)
+        return _build_family(key, params)
     except (TypeError, ValueError) as exc:
         raise BadFamilyParameters(str(exc)) from exc
-    if bundle is None:
-        raise BadFamilyParameters(f"unknown family {name!r}")
-    return bundle
 
 
-_REQUIRED_PARAMETERS = {"oriented_cycle": ("n",), "upst_circulant": ("n",),
-                        "star_product": ("m",), "looped_path": ("m",)}
+_CIRCULANT_PARAMETERS = ("alpha", "beta", "h", "c")
+# (required, optional) parameter names of each family
+_FAMILY_PARAMETERS = {
+    "oriented_k2": ((), ()),
+    "oriented_k3": ((), ()),
+    "oriented_cycle": (("n",), ()),
+    "hypercube": ((), ("m",)),
+    "c4_tensor_k2": ((), ()),
+    "c4_tensor_cube": ((), ("m",)),
+    "upst_circulant": (("n",), _CIRCULANT_PARAMETERS),
+    "star_product": (("m",), ()),
+    "looped_path": (("m",), ("n", "param") + _CIRCULANT_PARAMETERS),
+    "one_way_4": ((), ("param",)),
+    "one_way_8": ((), ("param",)),
+}
 
 
-def _build_family(key: str, params: dict) -> Optional[FamilyBundle]:
+def _build_family(key: str, params: dict) -> FamilyBundle:
     if key == "oriented_k2":
         return FamilyBundle(key, oriented_to_hermitian(oriented_k2()),
                             [Surd(-1), Surd(1)])
@@ -602,7 +620,7 @@ def _build_family(key: str, params: dict) -> Optional[FamilyBundle]:
         theta = float(params.get("param", math.sqrt(2)))
         fam = one_way_family_8(theta)
         return FamilyBundle(key, fam.matrix, fam.eigenvalues_exact, fam.notes)
-    return None
+    raise AssertionError(f"_FAMILY_PARAMETERS lists {key!r} but no builder")
 
 
 def build_family_spec(spec: dict) -> FamilyBundle:

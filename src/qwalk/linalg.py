@@ -211,6 +211,7 @@ class SpectralDecomposition:
         gram = self.vectors.conj().T @ self.vectors
         gram[np.diag_indices(self.dim)] -= 1
         err = _max_abs(gram)
+        del gram  # freed before matrix() builds the reconstruction
         if err > ORTHONORMALITY_TOL:
             raise EigensolverFailure(
                 f"eigenvectors are not orthonormal (error {err:.3e})")

@@ -25,9 +25,11 @@ PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
 PEAK_TIE_TOL = 1e-9
 ALIGN_TOL = 1e-8
-SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix entries evaluated at once
+SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix or grid-block entries made at once
 REFINE_TOP = 5  # best grid points always refined by a sweep
 REFINE_ITERS = 60  # golden-section steps per refined peak
+PGST_SWEEP_T_MAX = 200.0  # sweep window of pgst_verdict's numeric fallback
+PGST_SWEEP_STEPS = 40_001
 QUARREL_MAX_DENOMINATOR = 128
 TWO_PI = 2 * math.pi
 
@@ -439,10 +441,10 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
 
 def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
                  eigenvalues_exact: Optional[Sequence[Surd]] = None,
-                 lattice: Optional[RelationLattice] = None,
-                 sweep_t_max: float = 200.0, sweep_steps: int = 40_001) -> TransferVerdict:
+                 lattice: Optional[RelationLattice] = None) -> TransferVerdict:
     """PGST pipeline on a decomposition: cospectrality, then the exact
-    Kronecker check where possible, else numeric evidence from a sweep."""
+    Kronecker check where possible, else numeric evidence from a sweep over
+    [0, PGST_SWEEP_T_MAX]."""
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
@@ -455,11 +457,11 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
             return certify_pgst(values, quarrels.rational_parts(), lattice)
         raise QuarrelsNotRational("no exact spectrum supplied")
     except QuarrelsNotRational as exc:
-        sweep = fidelity_sweep(dec, a, b, sweep_t_max, sweep_steps)
+        sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
         return TransferVerdict(
             "numeric-evidence", time=sweep.best_time,
             fidelity=sweep.best_fidelity,
-            witness={"mode": "numeric", "t_max": sweep_t_max},
+            witness={"mode": "numeric", "t_max": PGST_SWEEP_T_MAX},
             notes=f"exact PGST check unavailable ({exc}); sweep evidence only")
 
 
@@ -519,15 +521,16 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
         return out
 
     times = np.linspace(0.0, t_max, steps)
-    fid = fidelity(times)
     spacing = t_max / (steps - 1)
+    fid = _grid_fidelities(dec, a, b, spacing, steps)
     thetas = dec.eigenvalues
     slope = float(np.sum(np.abs(dec.entries(b, a))
                          * np.abs(thetas - (thetas[0] + thetas[-1]) / 2)))
     near = fid >= fid.max() - slope * spacing / 2
     near[1:] &= fid[1:] > fid[:-1]
     near[:-1] &= fid[:-1] >= fid[1:]
-    near[np.argsort(fid)[::-1][:REFINE_TOP]] = True
+    top = min(REFINE_TOP, steps)
+    near[np.argpartition(fid, steps - top)[steps - top:]] = True
     idx = np.flatnonzero(near)
     t_ref, f_ref = _golden_max(fidelity, np.maximum(times[idx] - spacing, 0.0),
                                np.minimum(times[idx] + spacing, t_max), REFINE_ITERS)
@@ -538,6 +541,31 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
     pick = ties[np.argmin(t_ref[ties])]
     return SweepResult(times, fid, float(t_ref[pick]), float(f_ref[pick]),
                        list(zip(t_ref.tolist(), f_ref.tolist())))
+
+
+def _grid_fidelities(dec: SpectralDecomposition, a: int, b: int,
+                     spacing: float, steps: int) -> np.ndarray:
+    """|U(k*spacing)[b, a]| for k = 0, ..., steps - 1.
+
+    With K = ceil(sqrt(steps)) and k = j*K + s, U(t_k)[b, a] =
+    sum_r (E_r[b, a] exp(-i theta_r j K spacing)) exp(-i theta_r s spacing):
+    row j, column s of a (J x d)(d x K) product of two exponential tables,
+    so O((J + K) d) exponentials in place of steps*d.  Rows are multiplied
+    in blocks of at most SWEEP_CHUNK_ENTRIES entries, each written straight
+    into the result.  A phase is off by about |theta_r| t eps in floats,
+    as when exp(-i theta_r t_k) is evaluated directly.
+    """
+    thetas = dec.eigenvalues
+    width = math.isqrt(steps - 1) + 1  # K = ceil(sqrt(steps))
+    rows = -(-steps // width)
+    inner = np.exp(-1j * spacing * np.outer(thetas, np.arange(width)))
+    outer = np.exp(-1j * (width * spacing) * np.outer(np.arange(rows), thetas))
+    outer *= dec.entries(b, a)
+    fid = np.empty((rows, width))
+    block = max(1, SWEEP_CHUNK_ENTRIES // width)
+    for lo in range(0, rows, block):
+        np.abs(outer[lo:lo + block] @ inner, out=fid[lo:lo + block])
+    return fid.reshape(-1)[:steps]
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray,

@@ -150,6 +150,10 @@ BAD_FAMILY_CASES = {
                             "family 'upst-circulant' needs parameter n"),
     "upst-circulant-n0": (["--family", "upst-circulant", "--n", "0"],
                           "n must be at least 1"),
+    "hypercube-n": (["--family", "hypercube", "--m", "1", "--n", "3"],
+                    "family 'hypercube' does not take parameter n"),
+    "star-product-param": (["--family", "star-product", "--m", "2", "--param", "1"],
+                           "family 'star-product' does not take parameter param"),
 }
 
 
@@ -180,6 +184,32 @@ NUMBER_FLAG_CASES = (
     + [(cmd, "--t-max", v) for cmd in ("pst-check", "sweep") for v in ("0", "-1", "nan")]
     + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")]
     + [(cmd, "--param", v) for cmd in ("construct", "pst-check") for v in ("nan", "inf")])
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("construct", "--family", "oriented-k3", "--n", "5"), "n"),
+    (("sweep", "--family", "oriented-k3", "--m", "7", "--from", "0", "--to", "1"), "m"),
+])
+def test_parameter_a_family_does_not_take_is_flag_error(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family 'oriented-k3' does not take parameter {name}\n"
+
+
+@pytest.mark.parametrize("flags, dim", [
+    (("--family", "looped-path", "--n", "3", "--m", "2"), 6),
+    (("--family", "looped-path", "--m", "2", "--param", "2.5"), 6),
+    (("--family", "upst-circulant", "--n", "3"), 3),
+    (("--family", "hypercube", "--m", "1"), 8),
+    (("--family", "c4-tensor-cube", "--m", "1"), 32),
+    (("--family", "one-way-4", "--param", "1.5"), 4),
+    (("--family", "oriented-cycle", "--n", "5"), 5),
+])
+def test_parameters_a_family_takes_still_build(capsys, flags, dim):
+    code, out, _ = run_cli(capsys, "construct", *flags)
+    assert code == 0
+    assert json.loads(out)["dim"] == dim
 
 
 @pytest.mark.parametrize("command, flag, value", NUMBER_FLAG_CASES)
@@ -262,6 +292,8 @@ BAD_SPECS = {
     "bad-rational": ('{"family": "upst_circulant", "n": 3, "alpha": "x"}',
                      "alpha: Invalid literal for Fraction: 'x'"),
     "parameter-of-wrong-type": ('{"family": "oriented_cycle", "n": [3]}', None),
+    "parameter-not-taken": ('{"family": "oriented_k3", "size": 9}',
+                            "family 'oriented_k3' does not take parameter size"),
 }
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qwalk.constructions import (JacobiMatrix, NonCoprime, NotCirculant,
-                                 OrientedGraph, SIGNED_SHIFT_4,
+from qwalk.constructions import (_FAMILY_PARAMETERS, JacobiMatrix,
+                                 NonCoprime, NotCirculant, OrientedGraph,
+                                 SIGNED_SHIFT_4,
                                  SpectrumNotOddInteger, build_family,
                                  build_family_spec, c4_matrix,
                                  c4_tensor_construction, circulant_thetas,
@@ -338,6 +339,9 @@ def test_build_family_names():
     assert build_family("one_way_4").matrix.dim == 4
     with pytest.raises(ValueError):
         build_family("no-such-family")
+    # every listed family builds from its required parameters alone
+    for key, (required, _) in _FAMILY_PARAMETERS.items():
+        assert build_family(key, **{p: 3 for p in required}).name == key
 
 
 def test_build_family_spec_json():
@@ -346,5 +350,8 @@ def test_build_family_spec_json():
                                 "c": [0, 0, 0]})
     assert bundle.matrix.dim == 3
     assert bundle.extra["thetas"] == [0, 1, 2]
+    looped = build_family_spec({"family": "looped_path", "m": 2, "alpha": "0",
+                                "beta": "1", "h": 1, "c": [0, 0, 0]})
+    assert looped.matrix.dim == 6
     with pytest.raises(ValueError):
         build_family_spec({"n": 3})

@@ -209,6 +209,24 @@ def test_random_256_decomposes_in_quadratic_space():
     assert held <= 32 * n * n  # V (16 n^2 bytes) and the support norms
 
 
+def test_spectral_decomposition_peak_memory_at_256():
+    import tracemalloc
+    rng = np.random.default_rng(7)
+    n = 256
+    h = random_hermitian(rng, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dec = spectral_decomposition(h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(dec.multiplicities) == n
+    # V and, in validate, either the Gram matrix or the reconstruction's
+    # two temporaries: three n x n complex matrices (16 n^2 bytes each)
+    assert peak <= 3.25 * 16 * n * n
+
+
 # --- transition matrices ------------------------------------------------------
 
 def test_transition_identity_at_zero():

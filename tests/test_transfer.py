@@ -434,7 +434,7 @@ def test_pgst_sweep_fallback_says_numeric():
 def test_pgst_verdict_numeric_fallback():
     fam = one_way_family_4(math.sqrt(2))
     dec = spectral_decomposition(fam.matrix)
-    verdict = pgst_verdict(dec, 0, 2, sweep_t_max=100.0, sweep_steps=20_001)
+    verdict = pgst_verdict(dec, 0, 2)
     assert verdict.kind == "numeric-evidence"
     assert verdict.fidelity > 0.5
 
@@ -504,6 +504,62 @@ def _grid_argmax_rule(dec, a, b, t_max, steps, refine_top=5):
                 lo = c
         best_f = max(best_f, float(abs(amp([(lo + hi) / 2])[0])))
     return best_f
+
+
+GRID_STEPS = (2, 3, 10, 1001, 1024, 1025, 20_001, 1_000_001)
+
+
+def _grid_cases(n):
+    if n == "one-way-4":
+        return spectral_decomposition(one_way_family_4(math.sqrt(2)).matrix), 0, 2, 5000.0
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dec = spectral_decomposition(hermitian_from_entries((raw + raw.conj().T) / 2))
+    a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+    return dec, a, b, 100.0
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("n", [2, 5, 32, 64, "one-way-4"])
+def test_grid_fidelities_match_direct_amplitude(monkeypatch, n, chunk):
+    # the factored grid against |U(t)[b, a]| evaluated term by term at the
+    # np.linspace times: square and non-square step counts, one row of the
+    # factorization or many, and (with chunk) many row blocks
+    from qwalk import transfer
+    from qwalk.transfer import transfer_amplitude
+    if chunk is not None:
+        monkeypatch.setattr(transfer, "SWEEP_CHUNK_ENTRIES", chunk)
+    dec, a, b, t_max = _grid_cases(n)
+    amp = transfer_amplitude(dec, a, b)
+    for steps in GRID_STEPS:
+        sweep = fidelity_sweep(dec, a, b, t_max, steps)
+        times = np.linspace(0.0, t_max, steps)
+        assert np.array_equal(sweep.times, times)
+        assert sweep.fidelities.shape == (steps,)
+        # every 97th point and the last 3,000 (the last rows and block)
+        idx = np.unique(np.r_[np.arange(0, steps, 97),
+                              np.arange(max(0, steps - 3000), steps)])
+        direct = np.abs(amp(times[idx]))
+        assert np.max(np.abs(sweep.fidelities[idx] - direct)) <= 1e-11
+
+
+def test_sweep_peak_memory_per_grid_point():
+    import tracemalloc
+    dec = spectral_decomposition(one_way_family_4(math.sqrt(2)).matrix)
+    steps = 1_000_001
+    fidelity_sweep(dec, 0, 2, 5000.0, 1001)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep = fidelity_sweep(dec, 0, 2, 5000.0, steps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sweep.best_fidelity >= 0.99
+    # times and fidelities (8 bytes a point each), the top-k index array
+    # (8) and the peak mask (1); the product is evaluated in blocks, so it
+    # adds no per-point bytes
+    assert peak <= 28 * steps
 
 
 def test_sweep_reports_earliest_of_equal_peaks():
