@@ -18,10 +18,9 @@ from .numtheory import (PI, Poly2, RelationLattice, Surd, Transcendental,
                         poly_from_roots_mod2, relation_lattice,
                         square_free_part)
 from .star import StarVerdict, classify_star_m, star_support_surds
-from .transfer import (EigenvalueSupport, QuarrelSet, TransferVerdict,
-                       align_exact_spectrum, certify_pgst, certify_pst,
-                       check_periodicity, eigenvalue_support, fidelity_sweep,
-                       pgst_verdict, pst_verdict,
+from .transfer import (QuarrelSet, TransferVerdict, align_exact_spectrum,
+                       certify_pgst, check_periodicity, eigenvalue_support,
+                       fidelity_sweep, pgst_verdict, pst_verdict,
                        strong_cospectrality)
 from .upst_search import (UPSTReport, charpoly_rule_out, exhaustive_rule_out,
                           nk_table, sigma_bound_filter, spectrum_candidates,

@@ -15,9 +15,9 @@ from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
                            build_family_spec)
 from .linalg import ComplexMatrix, hermitian_from_entries, spectral_decomposition
 from .star import CSV_HEADER, classify_star_m
-from .transfer import (NotProportional, SupportMismatch, align_exact_spectrum,
-                       eigenvalue_support, fidelity_sweep, pgst_verdict,
-                       pst_verdict, strong_cospectrality)
+from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
+                       fidelity_sweep, pgst_verdict, pst_verdict,
+                       strong_cospectrality)
 from .upst_search import classify_all
 
 
@@ -27,6 +27,9 @@ class FlagError(Exception):
 
 def _load_bundle(args) -> FamilyBundle:
     if getattr(args, "matrix", None):
+        for key in ("family", "n", "m", "param"):
+            if getattr(args, key, None) is not None:
+                raise FlagError(f"--matrix cannot be combined with --{key}")
         mat = hermitian_from_entries(ComplexMatrix.load(args.matrix).array)
         return FamilyBundle("matrix", mat)
     if getattr(args, "family", None):
@@ -76,9 +79,8 @@ def cmd_construct(args) -> int:
             bundle = build_family_spec(json.load(fh))
     else:
         bundle = _load_bundle(args)
-    payload = bundle.matrix.to_json()
     with _out_stream(args) as fh:
-        json.dump(payload, fh)
+        json.dump(bundle.matrix.to_json(), fh)
         fh.write("\n")
     return 0
 
@@ -91,7 +93,7 @@ def cmd_analyze(args) -> int:
         "dim": n,
         "eigenvalues": [float(t) for t in dec.eigenvalues],
         "multiplicities": dec.multiplicities,
-        "supports": {str(v): list(eigenvalue_support(dec, v).indices)
+        "supports": {str(v): list(eigenvalue_support(dec, v))
                      for v in range(n)},
         "strongly_cospectral_pairs": [],
     }
@@ -114,16 +116,11 @@ def cmd_analyze(args) -> int:
 
 
 def _transfer_check(args, decide) -> int:
-    """Shared body of pst-check and pgst-check: decompose, align the exact
-    spectrum when the family has one, decide(bundle, dec, exact) and dump
-    the verdict."""
+    """Shared body of pst-check and pgst-check: decompose, decide, dump."""
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
     dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
-    exact = None
-    if bundle.exact_spectrum is not None:
-        exact = align_exact_spectrum(dec, bundle.exact_spectrum)
-    verdict = decide(bundle, dec, exact)
+    verdict = decide(bundle, dec)
     if bundle.notes:
         verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
     with _out_stream(args) as fh:
@@ -133,19 +130,13 @@ def _transfer_check(args, decide) -> int:
 
 
 def cmd_pst_check(args) -> int:
-    kwargs = {k: getattr(args, k) for k in ("t_max", "steps")
-              if getattr(args, k) is not None}
-    return _transfer_check(args, lambda bundle, dec, exact: pst_verdict(
-        dec, args.frm, args.to, exact, **kwargs))
+    return _transfer_check(args, lambda bundle, dec: pst_verdict(
+        dec, args.frm, args.to, bundle.exact_spectrum, args.t_max, args.steps))
 
 
 def cmd_pgst_check(args) -> int:
-    def decide(bundle, dec, exact):
-        product = bundle.extra.get("product")
-        lattice = (product.relation_superlattice()
-                   if hasattr(product, "relation_superlattice") else None)
-        return pgst_verdict(dec, args.frm, args.to, exact, lattice)
-    return _transfer_check(args, decide)
+    return _transfer_check(args, lambda bundle, dec: pgst_verdict(
+        dec, args.frm, args.to, bundle.exact_spectrum, bundle.lattice))
 
 
 def cmd_sweep(args) -> int:
@@ -206,16 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "graphs: construction, certification, and search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, vertices=False, sweep=False):
+    def add_source(p):
         p.add_argument("--family", help="named family to construct")
         p.add_argument("--matrix", help="path to a matrix JSON file")
         p.add_argument("--n", type=int, help="family size parameter")
         p.add_argument("--m", type=int, help="family attachment parameter")
         p.add_argument("--param", type=float,
                        help="family real parameter (lambda/theta/gamma)")
+        p.add_argument("--out", help="output path (default stdout)")
+
+    def add_common(p, vertices=False, sweep=False):
+        add_source(p)
         p.add_argument("--tol", type=float, default=1e-8,
                        help="eigenvalue clustering tolerance")
-        p.add_argument("--out", help="output path (default stdout)")
         if vertices:
             p.add_argument("--from", dest="frm", type=int, required=True,
                            help="source vertex (0-based)")
@@ -228,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a family and write its matrix JSON")
     p.add_argument("--spec", help="path to a construction spec JSON")
-    add_common(p)
+    add_source(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="spectrum, supports, cospectral pairs, quarrels")

@@ -7,7 +7,7 @@ looped-path products, and the one-way-PST matrix families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -512,13 +512,15 @@ def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
 
 @dataclass
 class FamilyBundle:
-    """A built family: matrix plus whatever exact data the family affords."""
+    """A built family: matrix plus whatever exact data the family affords:
+    its eigenvalues as surds in any order, or a lattice holding every
+    integer relation among the ascending eigenvalues (a superset will do)."""
 
     name: str
     matrix: HermitianMatrix
     exact_spectrum: Optional[list[Surd]] = None
     notes: str = ""
-    extra: dict = field(default_factory=dict)
+    lattice: Optional[RelationLattice] = None
 
 
 def build_family(name: str, **params) -> FamilyBundle:
@@ -588,17 +590,14 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         n = int(params["n"])
         circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
                               int(params.get("h", 1)), params.get("c"))
-        return FamilyBundle(key, circ.matrix,
-                            [Surd(t) for t in circ.thetas],
-                            extra={"thetas": circ.thetas})
+        return FamilyBundle(key, circ.matrix, [Surd(t) for t in circ.thetas])
     if key == "star_product":
         m = int(params["m"])
         base = oriented_to_hermitian(oriented_k3())
         product = rooted_star_product(base, m)
         from .star import star_support_surds
         exact = star_support_surds(m)[0] + [Surd(0)]
-        return FamilyBundle(key, product.matrix, exact,
-                            extra={"product": product})
+        return FamilyBundle(key, product.matrix, exact)
     if key == "looped_path":
         n = int(params.get("n", 3))
         m = int(params["m"])
@@ -611,7 +610,7 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         return FamilyBundle(key, product.matrix,
                             notes=f"loop weight gamma = {gamma!r} assumed "
                                   "transcendental",
-                            extra={"product": product})
+                            lattice=product.relation_superlattice())
     if key == "one_way_4":
         lam = float(params.get("param", math.sqrt(2)))
         fam = one_way_family_4(lam)

@@ -82,9 +82,13 @@ class ComplexMatrix:
 
     @classmethod
     def from_json(cls, d: dict) -> "ComplexMatrix":
-        re = np.array(d["re"], dtype=float)
-        im = np.array(d["im"], dtype=float)
-        if re.shape != (d["dim"], d["dim"]) or im.shape != re.shape:
+        try:
+            re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
+            dim = d["dim"]
+        except (KeyError, TypeError):
+            raise ValueError('matrix JSON must be an object with "dim", "re" '
+                             'and "im" keys') from None
+        if re.shape != (dim, dim) or im.shape != re.shape:
             raise ValueError("re/im blocks do not match declared dim")
         return cls(re + 1j * im)
 

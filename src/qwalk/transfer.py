@@ -51,29 +51,11 @@ class NotProportional(ValueError):
             f"proportional (residual {residual:.3e})")
 
 
-class InconsistentQuarrels(ValueError):
-    pass
-
-
-class QuarrelsNotRational(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class EigenvalueSupport:
-    """Indices r with ||E_r e_vertex|| above the support threshold."""
-
-    vertex: int
-    indices: tuple[int, ...]
-
-    def values(self, dec: SpectralDecomposition) -> list[float]:
-        return [float(dec.eigenvalues[r]) for r in self.indices]
-
-
-def eigenvalue_support(dec: SpectralDecomposition, vertex: int) -> EigenvalueSupport:
+def eigenvalue_support(dec: SpectralDecomposition, vertex: int) -> tuple[int, ...]:
+    """Indices r with ||E_r e_vertex|| above SUPPORT_TOL."""
     if not 0 <= vertex < dec.dim:
         raise IndexError(f"vertex {vertex} out of range for dim {dec.dim}")
-    return EigenvalueSupport(vertex, dec.support(vertex, SUPPORT_TOL))
+    return dec.support(vertex, SUPPORT_TOL)
 
 
 @dataclass(frozen=True)
@@ -91,15 +73,9 @@ class QuarrelSet:
     rationals: tuple[Optional[Fraction], ...]
 
     @property
-    def all_rational(self) -> bool:
-        return all(u is not None for u in self.rationals)
-
-    def rational_parts(self) -> list[Fraction]:
-        if not self.all_rational:
-            raise QuarrelsNotRational(
-                f"quarrels of pair ({self.a}, {self.b}) are not all "
-                "recognized rational multiples of 2*pi")
-        return list(self.rationals)  # type: ignore[arg-type]
+    def turns(self) -> Optional[list[Fraction]]:
+        """The quarrels as exact fractions of a turn; None unless all are."""
+        return None if None in self.rationals else list(self.rationals)
 
 
 def _recognize_turn(phase: float, max_denominator: int,
@@ -119,19 +95,17 @@ def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int) -> QuarrelS
     NotProportional when some projector column pair is not a unit-phase
     multiple entrywise within PROPORTIONALITY_TOL.
     """
-    sup_a = eigenvalue_support(dec, a)
-    sup_b = eigenvalue_support(dec, b)
-    if sup_a.indices != sup_b.indices:
-        raise SupportMismatch(a, b, sup_a.indices, sup_b.indices)
+    support = eigenvalue_support(dec, a)
+    support_b = eigenvalue_support(dec, b)
+    if support != support_b:
+        raise SupportMismatch(a, b, support, support_b)
     if a == b:
-        zero = Fraction(0)
-        return QuarrelSet(a, b, sup_a.indices,
-                          tuple(0.0 for _ in sup_a.indices),
-                          tuple(zero for _ in sup_a.indices))
+        return QuarrelSet(a, b, support, (0.0,) * len(support),
+                          (Fraction(0),) * len(support))
     inner = dec.entries(b, a)  # <E_r e_b, E_r e_a>
     norms = dec.support_norms
     phases, rationals = [], []
-    for r in sup_a.indices:
+    for r in support:
         # an inner product at noise level relative to the column norms has
         # an arbitrary angle; the columns are far from proportional anyway
         if abs(inner[r]) > PROPORTIONALITY_TOL * norms[a, r] * norms[b, r]:
@@ -143,7 +117,7 @@ def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int) -> QuarrelS
             raise NotProportional(a, b, r, residual)
         phases.append(q)
         rationals.append(_recognize_turn(q, QUARREL_MAX_DENOMINATOR))
-    return QuarrelSet(a, b, sup_a.indices, tuple(phases), tuple(rationals))
+    return QuarrelSet(a, b, support, tuple(phases), tuple(rationals))
 
 
 def _column_residual(dec: SpectralDecomposition, r: int, a: int, b: int,
@@ -206,40 +180,37 @@ def _jsonable(obj):
     return obj
 
 
-def _validate_quarrels(dec: SpectralDecomposition, quarrels: QuarrelSet) -> None:
-    if dec.support(quarrels.a, SUPPORT_TOL) != quarrels.support:
-        raise InconsistentQuarrels("quarrel support does not match decomposition")
-    for r, q in zip(quarrels.support, quarrels.phases):
-        if _column_residual(dec, r, quarrels.a, quarrels.b, q) > PROPORTIONALITY_TOL:
-            raise InconsistentQuarrels(
-                f"stored quarrel {q} fails at eigenvalue index {r}")
-
-
-def certify_pst(dec: SpectralDecomposition, quarrels: QuarrelSet,
-                eigenvalues_exact: Optional[Sequence[Surd]] = None,
+def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
+                exact: Optional[Sequence[Surd]] = None,
                 t_max: Optional[float] = None,
                 steps: Optional[int] = None) -> TransferVerdict:
-    """Certify perfect state transfer from quarrels.a to quarrels.b.
+    """Decide perfect state transfer from a to b.  exact, the exact
+    spectrum in any order, is aligned with dec first; a strong cospectrality
+    refusal is certified absence (a necessary condition fails).
 
-    Exact mode (available when eigenvalues_exact covers the support with
+    Exact mode (available when the exact spectrum covers the support with
     distinct symbol-free surds and every quarrel is a rational multiple of
     2*pi): solve_pst_congruences decides the phase condition exactly.  No
     solution is certified absence; the minimal solution tau is verified
     numerically against PST_FIDELITY_TOL before it is certified.
 
     Numeric mode (no exact carrier, or a failed verification): fidelity
-    sweep with golden-section refinement; a refined maximum that clears
-    1 - PST_FIDELITY_TOL is reported as PST-numeric, anything lower as
-    numeric evidence.
+    sweep over [0, t_max] with golden-section refinement; a refined maximum
+    that clears 1 - PST_FIDELITY_TOL is reported as PST-numeric, anything
+    lower as numeric evidence.
     """
-    _validate_quarrels(dec, quarrels)
-    a, b = quarrels.a, quarrels.b
-    sup = quarrels.support
-    if len(sup) >= 2 and eigenvalues_exact is not None and quarrels.all_rational:
-        values = [eigenvalues_exact[r] for r in sup]
+    if exact is not None:
+        exact = align_exact_spectrum(dec, exact)
+    try:
+        quarrels = strong_cospectrality(dec, a, b)
+    except (SupportMismatch, NotProportional) as exc:
+        return _refusal(exc)
+    sup, turns = quarrels.support, quarrels.turns
+    if len(sup) >= 2 and exact is not None and turns is not None:
+        values = [exact[r] for r in sup]
         if (all(isinstance(v, Surd) and not v.has_symbols for v in values)
                 and _strictly_ascending(values)):
-            x, witness = solve_pst_congruences(values, quarrels.rational_parts())
+            x, witness = solve_pst_congruences(values, turns)
             if x is None:
                 return TransferVerdict(
                     "absent-certified", witness={"mode": "exact", **witness},
@@ -324,18 +295,6 @@ def _refusal(exc: ValueError) -> TransferVerdict:
         "absent-certified",
         witness={"mode": "numeric", "criterion": "strong-cospectrality", **detail},
         notes=str(exc))
-
-
-def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                eigenvalues_exact: Optional[Sequence[Surd]] = None,
-                **kwargs) -> TransferVerdict:
-    """Full PST pipeline for a vertex pair: strong cospectrality refusals
-    become certified-absent verdicts (they violate a necessary condition)."""
-    try:
-        quarrels = strong_cospectrality(dec, a, b)
-    except (SupportMismatch, NotProportional) as exc:
-        return _refusal(exc)
-    return certify_pst(dec, quarrels, eigenvalues_exact, **kwargs)
 
 
 def check_periodicity(support_values: Sequence[Surd]) -> tuple[bool, Optional[dict]]:
@@ -440,29 +399,31 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
 
 
 def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                 eigenvalues_exact: Optional[Sequence[Surd]] = None,
+                 exact: Optional[Sequence[Surd]] = None,
                  lattice: Optional[RelationLattice] = None) -> TransferVerdict:
-    """PGST pipeline on a decomposition: cospectrality, then the exact
-    Kronecker check where possible, else numeric evidence from a sweep over
-    [0, PGST_SWEEP_T_MAX]."""
+    """Decide pretty good state transfer from a to b: strong cospectrality,
+    then the exact Kronecker check (certify_pgst) when the exact spectrum
+    (in any order; aligned first) or a relation lattice is given and every
+    quarrel is a recognized rational turn, else numeric evidence from a
+    sweep over [0, PGST_SWEEP_T_MAX]."""
+    if exact is not None:
+        exact = align_exact_spectrum(dec, exact)
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
         return _refusal(exc)
-    values = None
-    if eigenvalues_exact is not None:
-        values = [eigenvalues_exact[r] for r in quarrels.support]
-    try:
-        if values is not None or lattice is not None:
-            return certify_pgst(values, quarrels.rational_parts(), lattice)
-        raise QuarrelsNotRational("no exact spectrum supplied")
-    except QuarrelsNotRational as exc:
-        sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
-        return TransferVerdict(
-            "numeric-evidence", time=sweep.best_time,
-            fidelity=sweep.best_fidelity,
-            witness={"mode": "numeric", "t_max": PGST_SWEEP_T_MAX},
-            notes=f"exact PGST check unavailable ({exc}); sweep evidence only")
+    turns = quarrels.turns
+    if turns is not None and (exact is not None or lattice is not None):
+        values = None if exact is None else [exact[r] for r in quarrels.support]
+        return certify_pgst(values, turns, lattice)
+    reason = ("no exact spectrum supplied" if exact is None and lattice is None
+              else f"quarrels of pair ({a}, {b}) are not all recognized "
+                   "rational multiples of 2*pi")
+    sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
+    return TransferVerdict(
+        "numeric-evidence", time=sweep.best_time, fidelity=sweep.best_fidelity,
+        witness={"mode": "numeric", "t_max": PGST_SWEEP_T_MAX},
+        notes=f"exact PGST check unavailable ({reason}); sweep evidence only")
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .constructions import (OrientedGraph, SIGNED_SHIFT_4, build_family,
 from .linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
 from .numtheory import PI, Surd, float_relation_probe, relation_lattice
 from .star import classify_star_m, star_support_surds
-from .transfer import (align_exact_spectrum, certify_pgst, certify_pst,
-                       check_periodicity, eigenvalue_support, fidelity_sweep,
+from .transfer import (align_exact_spectrum, certify_pgst, check_periodicity,
+                       eigenvalue_support, fidelity_sweep, pst_verdict,
                        strong_cospectrality)
 from .upst_search import (charpoly_rule_out, exhaustive_rule_out, nk_table,
                           spectrum_candidates)
@@ -33,13 +33,12 @@ def crit_oriented_k3_universal_pst() -> tuple[bool, str]:
     """Every ordered pair of the oriented triangle gets certified PST."""
     bundle = build_family("oriented-k3")
     dec = spectral_decomposition(bundle.matrix)
-    exact = align_exact_spectrum(dec, bundle.exact_spectrum)
     worst = 1.0
     for a in range(3):
         for b in range(3):
             if a == b:
                 continue
-            verdict = certify_pst(dec, strong_cospectrality(dec, a, b), exact)
+            verdict = pst_verdict(dec, a, b, bundle.exact_spectrum)
             if verdict.kind != "PST-certified":
                 return False, f"pair ({a},{b}) got {verdict.kind}"
             worst = min(worst, verdict.fidelity)
@@ -105,12 +104,11 @@ def crit_eight_vertex_example() -> tuple[bool, str]:
         if f < 1 - 1e-8:
             return False, f"0->{tgt} at t={t}: fidelity {f}"
         fidelities.append(f)
-    for v in range(8):
-        if len(eigenvalue_support(dec, v).indices) != 8:
-            return False, f"vertex {v} lacks full support"
     exact = align_exact_spectrum(dec, fam.eigenvalues_exact)
     for v in range(8):
-        support = eigenvalue_support(dec, v).indices
+        support = eigenvalue_support(dec, v)
+        if len(support) != 8:
+            return False, f"vertex {v} lacks full support"
         periodic, _ = check_periodicity([exact[r] for r in support])
         if periodic:
             return False, f"vertex {v} reported periodic"
@@ -211,14 +209,19 @@ def crit_looped_path_product() -> tuple[bool, str]:
                 if delta > 1e-7:
                     return False, f"m={m}: quarrel off by {delta:.2e}"
         lattice = product.relation_superlattice()
-        for h_level in range(1, m + 1):
+        want = product.quarrel_turns(0, 1)
+        for level in range(1, m + 1):
+            turns = strong_cospectrality(dec, product.vertex(0, level),
+                                         product.vertex(1, level)).turns
+            if turns != want:
+                return False, f"m={m}, level {level}: quarrel turns {turns} != {want}"
             verdict = certify_pgst(
-                None, product.quarrel_turns(0, 1), lattice,
+                None, turns, lattice,
                 notes="superset lattice from the trace conditions; assumes "
                       "the loop weight is transcendental over the rational "
                       "base spectrum")
             if verdict.kind != "PGST-certified":
-                return False, f"m={m}, level {h_level}: {verdict.kind}"
+                return False, f"m={m}, level {level}: {verdict.kind}"
         sweep = fidelity_sweep(dec, product.vertex(0, 1), product.vertex(1, 1),
                                1e4, 1_000_001)
         if sweep.best_fidelity < 0.9:

@@ -128,6 +128,33 @@ def test_missing_input_is_analysis_failure(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 2}', 'matrix JSON must be an object with "dim", "re" and "im" keys'),
+    ('[[0, 1], [1, 0]]', 'matrix JSON must be an object with "dim", "re" and "im" keys'),
+    ('{"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}',
+     'matrix JSON must be an object with "dim", "re" and "im" keys'),
+    ('{"dim": 3, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}',
+     "re/im blocks do not match declared dim"),
+])
+@pytest.mark.parametrize("command", ["analyze", "pst-check"])
+def test_malformed_matrix_file_is_analysis_failure(tmp_path, capsys, text,
+                                                   message, command):
+    path = tmp_path / "h.json"
+    path.write_text(text)
+    vertices = ("--from", "0", "--to", "1") if command == "pst-check" else ()
+    code, out, err = run_cli(capsys, command, "--matrix", str(path), *vertices)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_construct_takes_no_tol(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "--family", "oriented-k3", "--tol", "1e-8"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_family_is_flag_error(capsys):
     code, out, err = run_cli(capsys, "analyze", "--family", "mystery")
     assert code == 2
@@ -154,6 +181,14 @@ BAD_FAMILY_CASES = {
                     "family 'hypercube' does not take parameter n"),
     "star-product-param": (["--family", "star-product", "--m", "2", "--param", "1"],
                            "family 'star-product' does not take parameter param"),
+    "matrix-and-family": (["--matrix", "h.json", "--family", "oriented-k3"],
+                          "--matrix cannot be combined with --family"),
+    "matrix-and-n": (["--matrix", "h.json", "--n", "3"],
+                     "--matrix cannot be combined with --n"),
+    "matrix-and-m": (["--m", "2", "--matrix", "h.json"],
+                     "--matrix cannot be combined with --m"),
+    "matrix-and-param": (["--matrix", "h.json", "--param", "1.5"],
+                         "--matrix cannot be combined with --param"),
 }
 
 
@@ -178,8 +213,7 @@ def test_out_of_range_vertex_is_flag_error(capsys, command, frm, to):
 
 
 NUMBER_FLAG_CASES = (
-    [(cmd, "--tol", v) for cmd in ("construct", "analyze", "pst-check",
-                                   "pgst-check", "sweep")
+    [(cmd, "--tol", v) for cmd in ("analyze", "pst-check", "pgst-check", "sweep")
      for v in ("0", "-1e-8", "nan", "inf")]
     + [(cmd, "--t-max", v) for cmd in ("pst-check", "sweep") for v in ("0", "-1", "nan")]
     + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")]

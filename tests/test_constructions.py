@@ -18,7 +18,7 @@ from qwalk.constructions import (_FAMILY_PARAMETERS, JacobiMatrix,
                                  rooted_looped_path_product,
                                  rooted_star_product, upst_circulant)
 from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
-from qwalk.numtheory import PI
+from qwalk.numtheory import PI, Surd
 from qwalk.transfer import check_periodicity, eigenvalue_support, strong_cospectrality
 
 
@@ -323,7 +323,7 @@ def test_one_way_8_transfer_chain():
     for t, tgt in ((1.0, 1), (2.0, 2), (3.0, 3)):
         assert abs(transition_matrix(dec, t)[tgt, 0]) >= 1 - 1e-8
     for v in range(8):
-        assert len(eigenvalue_support(dec, v).indices) == 8
+        assert len(eigenvalue_support(dec, v)) == 8
     periodic, _ = check_periodicity(fam.eigenvalues_exact)
     assert not periodic
 
@@ -344,12 +344,24 @@ def test_build_family_names():
         assert build_family(key, **{p: 3 for p in required}).name == key
 
 
+def test_only_looped_path_carries_a_lattice():
+    bundle = build_family("looped-path", m=2)
+    circ = upst_circulant(3, 0, 1, 1)
+    product = rooted_looped_path_product(circ.matrix, 2, math.pi,
+                                         thetas_exact=circ.thetas)
+    want = product.relation_superlattice()
+    assert (bundle.lattice.dim, bundle.lattice.generators) == (want.dim, want.generators)
+    for key, (required, _) in _FAMILY_PARAMETERS.items():
+        if key != "looped_path":
+            assert build_family(key, **{p: 3 for p in required}).lattice is None
+
+
 def test_build_family_spec_json():
     bundle = build_family_spec({"family": "upst_circulant", "n": 3,
                                 "alpha": "0", "beta": "1", "h": 1,
                                 "c": [0, 0, 0]})
     assert bundle.matrix.dim == 3
-    assert bundle.extra["thetas"] == [0, 1, 2]
+    assert bundle.exact_spectrum == [Surd(0), Surd(1), Surd(2)]
     looped = build_family_spec({"family": "looped_path", "m": 2, "alpha": "0",
                                 "beta": "1", "h": 1, "c": [0, 0, 0]})
     assert looped.matrix.dim == 6

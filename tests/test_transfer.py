@@ -9,9 +9,8 @@ from qwalk.constructions import (build_family, one_way_family_4, oriented_k3,
                                  upst_circulant)
 from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
 from qwalk.numtheory import PI, Surd, Transcendental, relation_lattice
-from qwalk.transfer import (InconsistentQuarrels, NotProportional, QuarrelSet,
-                            SupportMismatch, align_exact_spectrum, certify_pgst,
-                            certify_pst, check_periodicity, eigenvalue_support,
+from qwalk.transfer import (NotProportional, SupportMismatch, certify_pgst,
+                            check_periodicity, eigenvalue_support,
                             PEAK_TIE_TOL, fidelity_sweep, pgst_verdict,
                             pst_verdict, solve_phase_congruences,
                             solve_pst_congruences, strong_cospectrality)
@@ -33,7 +32,7 @@ def angle_close(a, b, tol=1e-8):
 def test_k3_full_support():
     dec = k3_dec()
     for v in range(3):
-        assert eigenvalue_support(dec, v).indices == (0, 1, 2)
+        assert eigenvalue_support(dec, v) == (0, 1, 2)
 
 
 def test_star_root_excludes_zero_projector():
@@ -42,14 +41,14 @@ def test_star_root_excludes_zero_projector():
     zero_idx = int(np.argmin(np.abs(dec.eigenvalues)))
     assert abs(dec.eigenvalues[zero_idx]) < 1e-9
     for root in range(3):
-        assert zero_idx not in eigenvalue_support(dec, root).indices
+        assert zero_idx not in eigenvalue_support(dec, root)
     # pendant vertices do see the zero eigenvalue
-    assert zero_idx in eigenvalue_support(dec, 3).indices
+    assert zero_idx in eigenvalue_support(dec, 3)
 
 
 def test_support_of_one_dim_zero_graph():
     dec = spectral_decomposition(np.zeros((1, 1)))
-    assert eigenvalue_support(dec, 0).indices == (0,)
+    assert eigenvalue_support(dec, 0) == (0,)
     with pytest.raises(IndexError):
         eigenvalue_support(dec, 1)
 
@@ -97,8 +96,7 @@ def test_path3_refusal():
 
 def test_certify_pst_k3_exact():
     dec = k3_dec()
-    exact = align_exact_spectrum(dec, K3_EXACT)
-    verdict = certify_pst(dec, strong_cospectrality(dec, 0, 1), exact)
+    verdict = pst_verdict(dec, 0, 1, K3_EXACT)
     assert verdict.kind == "PST-certified"
     assert verdict.witness["mode"] == "exact"
     assert abs(verdict.time - 2 * math.pi / (3 * math.sqrt(3))) < 1e-12
@@ -111,8 +109,7 @@ def test_certify_pst_k3_exact():
 def test_certify_pst_one_way_family():
     fam = one_way_family_4(math.sqrt(2))
     dec = spectral_decomposition(fam.matrix)
-    exact = align_exact_spectrum(dec, fam.eigenvalues_exact)
-    verdict = certify_pst(dec, strong_cospectrality(dec, 2, 0), exact, t_max=50)
+    verdict = pst_verdict(dec, 2, 0, fam.eigenvalues_exact, t_max=50)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - 1.0) < 1e-6
     assert abs(verdict.phase - 1.0) < 1e-6
@@ -135,15 +132,6 @@ def test_pst_verdict_absent_on_refusal():
     assert verdict.witness["criterion"] == "strong-cospectrality"
 
 
-def test_certify_pst_rejects_inconsistent_quarrels():
-    dec = k3_dec()
-    good = strong_cospectrality(dec, 0, 1)
-    bad = QuarrelSet(good.a, good.b, good.support,
-                     tuple(p + 0.5 for p in good.phases), good.rationals)
-    with pytest.raises(InconsistentQuarrels):
-        certify_pst(dec, bad)
-
-
 def _three_vertex_matrix(thetas):
     """Real symmetric matrix with eigenvalues thetas on the eigenbasis
     (1,1,1)/sqrt(3), (1,-1,0)/sqrt(2), (1,1,-2)/sqrt(6).  Vertex 0 sees
@@ -160,7 +148,7 @@ def test_exact_decision_irrational_ratio_absent():
     dec = spectral_decomposition(_three_vertex_matrix([float(v) for v in exact]))
     quarrels = strong_cospectrality(dec, 0, 0)
     assert quarrels.rationals == (Fraction(0),) * 3
-    verdict = certify_pst(dec, quarrels, align_exact_spectrum(dec, exact))
+    verdict = pst_verdict(dec, 0, 0, exact)
     assert verdict.kind == "absent-certified"
     assert verdict.witness["mode"] == "exact"
     assert verdict.witness["criterion"] == "ratio-condition"
@@ -176,7 +164,7 @@ def test_exact_decision_congruence_absent():
     dec = spectral_decomposition(laplacian)
     quarrels = strong_cospectrality(dec, 0, 1)
     assert quarrels.rationals == (Fraction(0), Fraction(1, 2), Fraction(0))
-    verdict = certify_pst(dec, quarrels, align_exact_spectrum(dec, exact))
+    verdict = pst_verdict(dec, 0, 1, exact)
     assert verdict.kind == "absent-certified"
     assert verdict.witness["criterion"] == "phase-congruence"
     assert verdict.witness["index"] == 1
@@ -192,9 +180,8 @@ def test_star_product_pst_absent_certified():
     for m in range(1, 31):
         bundle = build_family("star-product", m=m)
         dec = spectral_decomposition(bundle.matrix)
-        exact = align_exact_spectrum(dec, bundle.exact_spectrum)
         for a, b in ((0, 1), (1, 2)):
-            verdict = pst_verdict(dec, a, b, exact)
+            verdict = pst_verdict(dec, a, b, bundle.exact_spectrum)
             assert verdict.kind == "absent-certified", (m, a, b, verdict.notes)
 
 
@@ -255,7 +242,7 @@ def test_supports_never_empty():
         dec = spectral_decomposition(
             hermitian_from_entries((raw + raw.conj().T) / 2))
         for v in range(n):
-            assert eigenvalue_support(dec, v).indices
+            assert eigenvalue_support(dec, v)
 
 
 def test_quarrel_reconstruction_consistency():
@@ -439,6 +426,50 @@ def test_pgst_verdict_numeric_fallback():
     assert verdict.fidelity > 0.5
 
 
+def test_pgst_fallback_notes_name_the_reason():
+    fam = one_way_family_4(math.sqrt(2))
+    dec = spectral_decomposition(fam.matrix)
+    assert pgst_verdict(dec, 0, 2).notes == (
+        "exact PGST check unavailable (no exact spectrum supplied); "
+        "sweep evidence only")
+    # the quarrels 0, pi, lambda, lambda + pi are not all rational turns
+    verdict = pgst_verdict(dec, 2, 0, fam.eigenvalues_exact)
+    assert verdict.kind == "numeric-evidence"
+    assert verdict.notes == (
+        "exact PGST check unavailable (quarrels of pair (2, 0) are not all "
+        "recognized rational multiples of 2*pi); sweep evidence only")
+
+
+@pytest.mark.parametrize("name, params, pairs", [
+    ("oriented-k3", {}, [(0, 1), (1, 2), (2, 0)]),
+    ("star-product", {"m": 1}, [(0, 1), (1, 2)]),
+    ("star-product", {"m": 6}, [(0, 1), (2, 1)]),
+])
+def test_verdicts_take_the_exact_spectrum_in_any_order(name, params, pairs):
+    bundle = build_family(name, **params)
+    dec = spectral_decomposition(bundle.matrix)
+    family_order = list(bundle.exact_spectrum)
+    shuffled = list(family_order)
+    np.random.default_rng(5).shuffle(shuffled)
+    assert shuffled != family_order
+    for a, b in pairs:
+        for verdict in (pst_verdict, pgst_verdict):
+            want = verdict(dec, a, b, family_order).to_json()
+            assert want["witness"]["mode"] == "exact"
+            for spectrum in (family_order[::-1], shuffled):
+                assert verdict(dec, a, b, spectrum).to_json() == want
+
+
+def test_verdicts_align_before_the_cospectrality_test():
+    # the path P3 refuses the pair (0, 1), yet a spectrum that misses an
+    # eigenvalue is reported first, as the CLI always reported it
+    dec = spectral_decomposition(
+        hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    for verdict in (pst_verdict, pgst_verdict):
+        with pytest.raises(ValueError, match="no exact counterpart"):
+            verdict(dec, 0, 1, [Surd(0), Surd.sqrt(2)])
+
+
 # --- fidelity sweep ----------------------------------------------------------------
 
 def test_sweep_k3_closed_form_oracle():
@@ -617,9 +648,7 @@ def test_not_proportional_witness_ignores_noise_angle():
 
 def test_verdict_json_shape():
     dec = k3_dec()
-    exact = align_exact_spectrum(dec, K3_EXACT)
-    verdict = certify_pst(dec, strong_cospectrality(dec, 0, 1), exact)
-    payload = verdict.to_json()
+    payload = pst_verdict(dec, 0, 1, K3_EXACT).to_json()
     assert payload["kind"] == "PST-certified"
     assert {"time", "phase", "fidelity"} <= set(payload)
     values, turns = star_surd_data(3)
