@@ -9,13 +9,12 @@ from .constructions import (FamilyBundle, JacobiMatrix, OrientedGraph,
                             oriented_hypercube, oriented_k2, oriented_k3,
                             oriented_to_hermitian, orthogonal_polynomials,
                             rooted_looped_path_product, rooted_star_product,
-                            upst_circulant)
-from .linalg import (ComplexMatrix, HermitianMatrix, SpectralDecomposition,
+                            rooted_star_spectrum, upst_circulant)
+from .linalg import (HermitianMatrix, SpectralDecomposition,
                      hermitian_from_entries, kron, spectral_decomposition,
                      transition_matrix)
-from .numtheory import (PI, Poly2, RelationLattice, Surd, Transcendental,
-                        charpoly_mod2, float_relation_probe,
-                        poly_from_roots_mod2, relation_lattice,
+from .numtheory import (PI, RelationLattice, Surd, Transcendental,
+                        charpoly_mod2, float_relation_probe, relation_lattice,
                         square_free_part)
 from .star import StarVerdict, classify_star_m, star_support_surds
 from .transfer import (QuarrelSet, TransferVerdict, align_exact_spectrum,

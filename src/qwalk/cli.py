@@ -13,7 +13,7 @@ import sys
 
 from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
                            build_family_spec)
-from .linalg import ComplexMatrix, hermitian_from_entries, spectral_decomposition
+from .linalg import HermitianMatrix, spectral_decomposition
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
                        fidelity_sweep, pgst_verdict, pst_verdict,
@@ -25,13 +25,16 @@ class FlagError(Exception):
     """A flag value the command cannot use; reported as exit code 2."""
 
 
+def _refuse_beside(args, flag: str, keys) -> None:
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            raise FlagError(f"--{flag} cannot be combined with --{key}")
+
+
 def _load_bundle(args) -> FamilyBundle:
     if getattr(args, "matrix", None):
-        for key in ("family", "n", "m", "param"):
-            if getattr(args, key, None) is not None:
-                raise FlagError(f"--matrix cannot be combined with --{key}")
-        mat = hermitian_from_entries(ComplexMatrix.load(args.matrix).array)
-        return FamilyBundle("matrix", mat)
+        _refuse_beside(args, "matrix", ("family", "n", "m", "param"))
+        return FamilyBundle("matrix", HermitianMatrix.load(args.matrix))
     if getattr(args, "family", None):
         params = {}
         for key in ("n", "m", "param"):
@@ -75,6 +78,7 @@ def _fmt(x: float) -> str:
 
 def cmd_construct(args) -> int:
     if args.spec:
+        _refuse_beside(args, "spec", ("family", "matrix", "n", "m", "param"))
         with open(args.spec) as fh:
             bundle = build_family_spec(json.load(fh))
     else:

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (HermitianMatrix, hermitian_from_entries, kron,
-                     spectral_decomposition)
+from .linalg import (HermitianMatrix, SpectralDecomposition,
+                     hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 
@@ -146,9 +146,8 @@ def c4_tensor_construction(h_x: HermitianMatrix) -> HermitianMatrix:
                 f"eigenvalue {theta} is not within {ODD_INTEGER_TOL:.1e} "
                 "of an odd integer")
     n = h_x.dim
-    h_y = kron(np.eye(n), c4_matrix().array).array \
-        + kron(h_x.array, np.ones((4, 4))).array
-    return hermitian_from_entries(h_y)
+    return hermitian_from_entries(kron(np.eye(n), c4_matrix().array)
+                                  + kron(h_x.array, np.ones((4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,29 +211,9 @@ def circulant_thetas(h) -> np.ndarray:
 # Rooted star product
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RootedStarProduct:
-    """X rooted with stars: attachment-major labels, the first n indices are
-    the root (non-pendant) vertices carrying the copy of X."""
-
-    matrix: HermitianMatrix
-    m: int
-    base_dim: int
-    predicted_eigenvalues: np.ndarray  # with multiplicity, sorted
-    branches: list[tuple[float, float, float]]  # (theta_r, lambda+, lambda-)
-    projectors: list[tuple[float, np.ndarray]]  # (eigenvalue, projector)
-
-    def reconstruction(self) -> np.ndarray:
-        return sum(lam * proj for lam, proj in self.projectors)
-
-
-def rooted_star_product(h_x: HermitianMatrix, m: int) -> RootedStarProduct:
+def rooted_star_product(h_x: HermitianMatrix, m: int) -> HermitianMatrix:
     """Attach an m-star to every vertex of X; vertex k of X is index k, its
-    pendant vertices are n + k*m .. n + (k+1)*m - 1 in block order.
-
-    The product matrix, its predicted spectrum lambda_r(+/-) together with
-    0 at multiplicity (m-1)*n, and the closed-form projectors are returned.
-    """
+    pendant vertices are n + k*m .. n + (k+1)*m - 1 in block order."""
     if m < 1:
         raise ValueError("m must be at least 1")
     n = h_x.dim
@@ -243,32 +222,40 @@ def rooted_star_product(h_x: HermitianMatrix, m: int) -> RootedStarProduct:
     star = np.zeros((m + 1, m + 1))
     star[0, 1:] = 1.0
     star[1:, 0] = 1.0
-    h_y = kron(unit, h_x.array).array + kron(star, np.eye(n)).array
-    dec = spectral_decomposition(h_x)
+    return hermitian_from_entries(kron(unit, h_x.array) + kron(star, np.eye(n)))
 
-    branches = []
-    projectors: list[tuple[float, np.ndarray]] = []
-    predicted = []
-    for r, (theta, mult) in enumerate(zip(dec.eigenvalues, dec.multiplicities)):
-        e_r = dec.projector(r)
+
+def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
+    """Closed-form spectral decomposition of rooted_star_product(h_x, m).
+
+    Each eigenvalue theta_r of X with eigenvector block V_r gives
+    lambda(+/-) = (theta_r +/- sqrt(theta_r^2 + 4m))/2 with block
+    kron(w/|w|, V_r), w = (lambda, 1, ..., 1); for m > 1, eigenvalue 0 has
+    block kron((0, h), I_n) over a sum-zero (Helmert) basis h of R^m.
+    lambda(+) > 0 > lambda(-), and both grow with theta_r, so the
+    eigenvalues are distinct; the blocks are sorted ascending."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    n = h_x.dim
+    dec = spectral_decomposition(h_x)
+    blocks = []
+    for r, theta in enumerate(dec.eigenvalues):
         root = math.sqrt(theta * theta + 4 * m)
-        for sign in (+1, -1):
-            lam = (theta + sign * root) / 2
-            block = np.ones((m + 1, m + 1))
-            block[0, 0] = lam * lam
-            block[0, 1:] = lam
-            block[1:, 0] = lam
-            proj = kron(block / (lam * lam + m), e_r).array
-            projectors.append((lam, proj))
-            predicted.extend([lam] * mult)
-        branches.append((float(theta), (theta + root) / 2, (theta - root) / 2))
+        for lam in ((theta - root) / 2, (theta + root) / 2):
+            w = np.ones((m + 1, 1))
+            w[0, 0] = lam
+            blocks.append((lam, np.kron(w / np.linalg.norm(w), dec.block(r))))
     if m > 1:
-        zero_block = np.zeros((m + 1, m + 1))
-        zero_block[1:, 1:] = np.eye(m) - np.ones((m, m)) / m
-        projectors.append((0.0, kron(zero_block, np.eye(n)).array))
-        predicted.extend([0.0] * ((m - 1) * n))
-    return RootedStarProduct(hermitian_from_entries(h_y), m, n,
-                             np.sort(np.array(predicted)), branches, projectors)
+        helmert = np.zeros((m + 1, m - 1))
+        for k in range(1, m):
+            helmert[1:k + 1, k - 1] = 1.0
+            helmert[k + 1, k - 1] = -k
+            helmert[:, k - 1] /= math.sqrt(k * (k + 1))
+        blocks.append((0.0, np.kron(helmert, np.eye(n))))
+    blocks.sort(key=lambda block: block[0])
+    return SpectralDecomposition(
+        [lam for lam, _ in blocks], np.hstack([v for _, v in blocks]),
+        [v.shape[1] for _, v in blocks], dec.cluster_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +287,6 @@ class OrthogonalPolynomials:
     (coefficient arrays ascending), the roots of phi_m, and the eigenvector
     matrix whose column s is (1, phi_1(root_s), ..., phi_{m-1}(root_s))."""
 
-    jacobi: JacobiMatrix
     coefficients: list[np.ndarray]
     roots: np.ndarray
     eigenvectors: np.ndarray
@@ -328,7 +314,7 @@ def orthogonal_polynomials(jm: JacobiMatrix) -> OrthogonalPolynomials:
     vecs = np.ones((m, m))
     for r in range(1, m):
         vecs[r, :] = np.polynomial.polynomial.polyval(roots, coeffs[r])
-    return OrthogonalPolynomials(jm, coeffs, roots, vecs)
+    return OrthogonalPolynomials(coeffs, roots, vecs)
 
 
 @dataclass
@@ -340,11 +326,7 @@ class LoopedPathProduct:
     matrix: HermitianMatrix
     n: int
     m: int
-    gamma: float
-    gamma_tag: Optional[Transcendental]
-    thetas: np.ndarray                      # Fourier-ordered base spectrum
-    thetas_exact: Optional[list[Fraction]]
-    polynomials: list[OrthogonalPolynomials]
+    thetas_exact: Optional[list[Fraction]]  # Fourier-ordered base spectrum
     eigenpairs: list[tuple[int, int, float, np.ndarray]]  # (j, s, lam, vec)
 
     def vertex(self, h: int, level: int) -> int:
@@ -380,12 +362,11 @@ class LoopedPathProduct:
 
 
 def rooted_looped_path_product(h_x, m: int, gamma: float,
-                               gamma_tag: Optional[Transcendental] = None,
                                thetas_exact: Optional[Sequence[Fraction]] = None
                                ) -> LoopedPathProduct:
     """Assemble the mn x mn product of a Hermitian circulant with a looped
-    path, together with one Jacobi matrix per Fourier branch and the
-    predicted eigenpairs (poly eigenvector) (x) (Fourier vector)."""
+    path, together with the predicted eigenpairs (poly eigenvector) (x)
+    (Fourier vector), one Jacobi matrix per Fourier branch."""
     a = np.asarray(h_x, dtype=complex)
     if not is_circulant(a):
         raise NotCirculant("base matrix is not circulant")
@@ -398,13 +379,12 @@ def rooted_looped_path_product(h_x, m: int, gamma: float,
     for i in range(m - 1):
         path[i, i + 1] = path[i + 1, i] = 1.0
     path[0, 0] = gamma
-    h_z = kron(root_block, a).array + kron(path, np.eye(n)).array
+    h_z = kron(root_block, a) + kron(path, np.eye(n))
     thetas = circulant_thetas(a)
     fourier = dft_matrix(n)
-    polys, eigenpairs = [], []
+    eigenpairs = []
     for j in range(n):
         op = orthogonal_polynomials(JacobiMatrix(m, gamma, float(thetas[j])))
-        polys.append(op)
         for s in range(m):
             vec = np.kron(op.eigenvectors[:, s], fourier[:, j])
             eigenpairs.append((j, s, float(op.roots[s]), vec))
@@ -412,8 +392,8 @@ def rooted_looped_path_product(h_x, m: int, gamma: float,
     if exact is not None and any(abs(float(f) - t) > 1e-9
                                  for f, t in zip(exact, thetas)):
         raise ValueError("exact base spectrum disagrees with the matrix")
-    return LoopedPathProduct(hermitian_from_entries(h_z), n, m, gamma,
-                             gamma_tag, thetas, exact, polys, eigenpairs)
+    return LoopedPathProduct(hermitian_from_entries(h_z), n, m, exact,
+                             eigenpairs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +405,6 @@ class OneWayFamily:
     matrix: HermitianMatrix
     diagonalizer: np.ndarray
     eigenvalues_exact: list[Surd]
-    parameter: Transcendental
     notes: str
 
 
@@ -459,7 +438,7 @@ def one_way_family_4(lam: float, tag_name: str = "lambda") -> OneWayFamily:
     lam_surd, notes = _parameter_surd(lam, tag)
     spectrum = [Surd(0), Surd.symbol(PI), lam_surd,
                 lam_surd + Surd.symbol(PI)]
-    return OneWayFamily(hermitian_from_entries(closed), p, spectrum, tag, notes)
+    return OneWayFamily(hermitian_from_entries(closed), p, spectrum, notes)
 
 
 def one_way_family_8(theta: float, tag_name: str = "theta") -> OneWayFamily:
@@ -490,7 +469,7 @@ def one_way_family_8(theta: float, tag_name: str = "theta") -> OneWayFamily:
     half = Surd.symbol(PI, Fraction(1, 2))
     spectrum = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
                 half, half * 3, th + half, th + half * 3]
-    return OneWayFamily(hermitian_from_entries(h), p, spectrum, tag, notes)
+    return OneWayFamily(hermitian_from_entries(h), p, spectrum, notes)
 
 
 def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
@@ -597,15 +576,14 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         product = rooted_star_product(base, m)
         from .star import star_support_surds
         exact = star_support_surds(m)[0] + [Surd(0)]
-        return FamilyBundle(key, product.matrix, exact)
+        return FamilyBundle(key, product, exact)
     if key == "looped_path":
         n = int(params.get("n", 3))
         m = int(params["m"])
         gamma = float(params.get("param", math.pi))
         circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
                               int(params.get("h", 1)), params.get("c"))
-        tag = Transcendental("gamma", gamma)
-        product = rooted_looped_path_product(circ.matrix, m, gamma, tag,
+        product = rooted_looped_path_product(circ.matrix, m, gamma,
                                              circ.thetas)
         return FamilyBundle(key, product.matrix,
                             notes=f"loop weight gamma = {gamma!r} assumed "

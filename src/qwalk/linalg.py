@@ -1,4 +1,4 @@
-"""Dense complex matrices, Hermitian eigendecomposition with eigenvalue
+"""Hermitian matrices, Hermitian eigendecomposition with eigenvalue
 clustering, and spectral-form matrix exponentials.
 
 One complex eigensolve gives orthonormal eigenvectors V, kept as column
@@ -46,15 +46,11 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
-class ComplexMatrix:
-    """Square complex matrix with finite entries; read-only storage."""
+class HermitianMatrix:
+    """Hermitian matrix held as one read-only complex array; construct
+    through hermitian_from_entries, from_json or load."""
 
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("matrix entries must be finite")
+    def __init__(self, arr: np.ndarray):
         arr.setflags(write=False)
         self._arr = arr
 
@@ -67,13 +63,13 @@ class ComplexMatrix:
         return self._arr
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._arr, dtype=dtype)
+        return np.array(self._arr, dtype=dtype, copy=copy)
 
     def __getitem__(self, idx):
         return self._arr[idx]
 
     def __repr__(self) -> str:
-        return f"ComplexMatrix(dim={self.dim})"
+        return f"HermitianMatrix(dim={self.dim})"
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -81,7 +77,7 @@ class ComplexMatrix:
                 "im": self._arr.imag.tolist()}
 
     @classmethod
-    def from_json(cls, d: dict) -> "ComplexMatrix":
+    def from_json(cls, d: dict) -> "HermitianMatrix":
         try:
             re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
             dim = d["dim"]
@@ -90,51 +86,25 @@ class ComplexMatrix:
                              'and "im" keys') from None
         if re.shape != (dim, dim) or im.shape != re.shape:
             raise ValueError("re/im blocks do not match declared dim")
-        return cls(re + 1j * im)
+        return hermitian_from_entries(re + 1j * im)
 
     @classmethod
-    def load(cls, path) -> "ComplexMatrix":
+    def load(cls, path) -> "HermitianMatrix":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-class HermitianMatrix:
-    """Hermitian matrix; construct through hermitian_from_entries."""
-
-    def __init__(self, inner: ComplexMatrix):
-        self.inner = inner
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.inner.array
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.inner.array, dtype=dtype)
-
-    def __getitem__(self, idx):
-        return self.inner[idx]
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
-
-    def to_json(self) -> dict:
-        return self.inner.to_json()
-
-    @classmethod
-    def from_json(cls, d: dict) -> "HermitianMatrix":
-        return hermitian_from_entries(ComplexMatrix.from_json(d).array)
 
 
 def hermitian_from_entries(entries) -> HermitianMatrix:
     """Validate near-Hermitian input and return the symmetrization
     (A + A*)/2 with an exactly real diagonal."""
-    a = ComplexMatrix(entries).array
-    # the one n x n temporary besides a and the result; row-major like a,
-    # so the elementwise passes below run over contiguous memory
+    a = np.array(entries, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    # a is this call's own copy and becomes the result; work is the one
+    # n x n temporary, row-major like a, so the elementwise passes below run
+    # over contiguous memory
     work = np.empty_like(a)
     np.subtract(a, np.conj(a.T, out=work), out=work)
     np.abs(work, out=work)
@@ -142,11 +112,11 @@ def hermitian_from_entries(entries) -> HermitianMatrix:
     if asym > HERMITIAN_TOL:
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}")
-    np.add(a, np.conj(a.T, out=work), out=work)
-    del a  # freed before the result is copied out of work
-    work /= 2
-    np.fill_diagonal(work, work.diagonal().real)
-    return HermitianMatrix(ComplexMatrix(work))
+    a += np.conj(a.T, out=work)
+    del work
+    a /= 2
+    np.fill_diagonal(a, a.diagonal().real)
+    return HermitianMatrix(a)
 
 
 class SpectralDecomposition:
@@ -261,13 +231,13 @@ def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
     return dec
 
 
-def transition_matrix(dec: SpectralDecomposition, t: float) -> ComplexMatrix:
+def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """U(t) = V exp(-i t Lambda) V^* = sum_r exp(-i t theta_r) E_r."""
     phases = np.exp(-1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
-    return ComplexMatrix((dec.vectors * phases) @ dec.vectors.conj().T)
+    return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
-def kron(a, b) -> ComplexMatrix:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with a guard on the output dimension."""
     aa = np.asarray(a, dtype=complex)
     bb = np.asarray(b, dtype=complex)
@@ -275,4 +245,4 @@ def kron(a, b) -> ComplexMatrix:
     if out_dim > MAX_KRON_DIM:
         raise DimensionOverflow(
             f"kron output dimension {out_dim} exceeds limit {MAX_KRON_DIM}")
-    return ComplexMatrix(np.kron(aa, bb))
+    return np.kron(aa, bb)

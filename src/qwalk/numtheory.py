@@ -219,21 +219,6 @@ class Surd:
             parts.append(f"{c}*{t.name}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_json(self) -> dict:
-        out = {"rat": str(self._rat),
-               "terms": {str(d): str(c) for d, c in self._rad}}
-        if self._sym:
-            out["syms"] = {t.name: {"coeff": str(c), "value": t.value}
-                           for t, c in self._sym}
-        return out
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Surd":
-        rad = {int(k): Fraction(v) for k, v in d.get("terms", {}).items()}
-        sym = {Transcendental(k, float(v["value"])): Fraction(v["coeff"])
-               for k, v in d.get("syms", {}).items()}
-        return cls(Fraction(d.get("rat", "0")), rad, sym)
-
 
 def _as_surd(x) -> Surd:
     if isinstance(x, Surd):
@@ -353,9 +338,6 @@ class RelationLattice:
     def __len__(self):
         return len(self.generators)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "generators": self.generators}
-
 
 def relation_lattice(values: Sequence[Surd]) -> RelationLattice:
     """Full integer relation lattice of a list of exact values.
@@ -452,49 +434,8 @@ def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(2)
+# Integer characteristic polynomials
 # ---------------------------------------------------------------------------
-
-class Poly2:
-    """Polynomial over Z2, coefficients ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        bits = [int(c) % 2 for c in coeffs]
-        while bits and bits[-1] == 0:
-            bits.pop()
-        self.coeffs = tuple(bits)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        if not self.coeffs or not other.coeffs:
-            return Poly2([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] ^= b
-        return Poly2(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                terms.append("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
-        return " + ".join(terms)
-
 
 def charpoly_int(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Integer coefficients of det(tI - A), descending, via the
@@ -548,21 +489,12 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return a
 
 
-def charpoly_mod2(matrix: Sequence[Sequence[int]]) -> Poly2:
-    """Characteristic polynomial of an integer matrix reduced mod 2,
-    ascending coefficients."""
+def charpoly_mod2(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Characteristic polynomial of a symmetric integer matrix reduced
+    mod 2: the coefficients of charpoly_int, descending, each 0 or 1."""
     rows = [list(r) for r in matrix]
     for i, row in enumerate(rows):
         for j in range(len(rows)):
             if row[j] != rows[j][i]:
                 raise ValueError("adjacency matrix must be symmetric")
-    desc = charpoly_int(rows)
-    return Poly2(list(reversed(desc)))
-
-
-def poly_from_roots_mod2(roots: Sequence[int]) -> Poly2:
-    """Monic product of (t - r) over Z2."""
-    p = Poly2([1])
-    for r in roots:
-        p = p * Poly2([(-int(r)) % 2, 1])
-    return p
+    return [c % 2 for c in charpoly_int(rows)]

@@ -169,14 +169,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, Surd):
-        return obj.to_json()
-    if isinstance(obj, RelationLattice):
-        return obj.to_json()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 

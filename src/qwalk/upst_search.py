@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from .constructions import OrientedGraph
 from .numtheory import (Surd, charpoly_int, charpoly_mod2, poly_gcd,
-                        poly_from_roots_mod2, square_free_part)
+                        square_free_part)
 from .transfer import check_periodicity
 
 
@@ -253,14 +253,16 @@ _NAMED_ADJACENCY = {
 
 def charpoly_rule_out(underlying: str, spectrum: Sequence[int]) -> bool:
     """True when the mod-2 characteristic polynomial of the underlying graph
-    differs from the polynomial with the candidate roots, ruling the case
-    out."""
+    differs from the one of the diagonal matrix of the candidate roots,
+    ruling the case out."""
     if underlying not in _NAMED_ADJACENCY:
         raise ValueError(f"unknown underlying graph {underlying!r}; "
                          f"expected one of {sorted(_NAMED_ADJACENCY)}")
     adjacency = _NAMED_ADJACENCY[underlying]()
     roots = sorted({*(int(t) for t in spectrum), *(-int(t) for t in spectrum)})
-    return charpoly_mod2(adjacency) != poly_from_roots_mod2(roots)
+    diagonal = [[r if i == j else 0 for j in range(len(roots))]
+                for i, r in enumerate(roots)]
+    return charpoly_mod2(adjacency) != charpoly_mod2(diagonal)
 
 
 _UNDERLYING_BY_NK = {(11, 10): "K11", (7, 6): "K7", (7, 4): "C7bar"}

@@ -344,6 +344,26 @@ def test_bad_construction_spec_is_flag_error(tmp_path, capsys, case):
         assert err == f"error: {message}\n"
 
 
+SPEC_AND_SOURCE_CASES = {
+    "family": ["--family", "oriented-k3"],
+    "matrix": ["--matrix", "h.json"],
+    "n": ["--n", "4"],
+    "m": ["--m", "2"],
+    "param": ["--param", "1.5"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(SPEC_AND_SOURCE_CASES))
+def test_spec_with_another_source_is_flag_error(tmp_path, capsys, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"family": "oriented_k2"}')
+    code, out, err = run_cli(capsys, "construct", "--spec", str(spec),
+                             *SPEC_AND_SOURCE_CASES[key])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --spec cannot be combined with --{key}\n"
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_search_upst_small_n_is_flag_error(capsys, n):
     code, out, err = run_cli(capsys, "search-upst", "--n", n)

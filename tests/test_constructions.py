@@ -16,9 +16,10 @@ from qwalk.constructions import (_FAMILY_PARAMETERS, JacobiMatrix,
                                  oriented_to_hermitian,
                                  orthogonal_polynomials,
                                  rooted_looped_path_product,
-                                 rooted_star_product, upst_circulant)
+                                 rooted_star_product, rooted_star_spectrum,
+                                 upst_circulant)
 from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
-from qwalk.numtheory import PI, Surd
+from qwalk.numtheory import Surd
 from qwalk.transfer import check_periodicity, eigenvalue_support, strong_cospectrality
 
 
@@ -106,7 +107,7 @@ def test_c4_single_block_exponential_identity():
     for theta in (1, -1, 3):
         dec = spectral_decomposition(
             c4_matrix().array + theta * np.ones((4, 4)))
-        u = transition_matrix(dec, math.pi / 4).array
+        u = transition_matrix(dec, math.pi / 4)
         assert np.max(np.abs(u - SIGNED_SHIFT_4)) <= 1e-9
 
 
@@ -114,7 +115,7 @@ def test_c4_tensor_k2_is_godsil_lato_size():
     h = c4_tensor_construction(oriented_to_hermitian(oriented_k2()))
     assert h.dim == 8
     dec = spectral_decomposition(h)
-    u = transition_matrix(dec, math.pi / 4).array
+    u = transition_matrix(dec, math.pi / 4)
     assert np.max(np.abs(u - np.kron(np.eye(2), SIGNED_SHIFT_4))) <= 1e-9
 
 
@@ -138,7 +139,7 @@ def test_upst_circulant_3_cyclic_shift():
     circ = upst_circulant(3, 0, 1, 1)
     assert circ.thetas == [Fraction(0), Fraction(1), Fraction(2)]
     dec = spectral_decomposition(circ.matrix)
-    u = transition_matrix(dec, 2 * math.pi / 3).array
+    u = transition_matrix(dec, 2 * math.pi / 3)
     # the direct 3x3 exponential is a cyclic shift up to global phase
     phase = u[1, 0]
     assert abs(abs(phase) - 1) < 1e-9
@@ -174,31 +175,35 @@ def test_circulant_detection():
 # --- rooted star product ---------------------------------------------------------------
 
 def test_star_product_m1_spectrum_formula():
-    product = rooted_star_product(oriented_to_hermitian(oriented_k3()), 1)
+    base = oriented_to_hermitian(oriented_k3())
+    closed = rooted_star_spectrum(base, 1)
     expected = sorted([1.0, -1.0,
                        (math.sqrt(3) + math.sqrt(7)) / 2,
                        (math.sqrt(3) - math.sqrt(7)) / 2,
                        (-math.sqrt(3) + math.sqrt(7)) / 2,
                        (-math.sqrt(3) - math.sqrt(7)) / 2])
-    assert np.allclose(product.predicted_eigenvalues, expected, atol=1e-12)
-    dec = spectral_decomposition(product.matrix)
-    actual = np.sort(np.concatenate(
-        [[ev] * mult for ev, mult in zip(dec.eigenvalues, dec.multiplicities)]))
-    assert np.max(np.abs(actual - product.predicted_eigenvalues)) <= 1e-8
+    assert np.allclose(closed.eigenvalues, expected, atol=1e-12)
+    assert closed.multiplicities == [1] * 6
+    dec = spectral_decomposition(rooted_star_product(base, 1))
+    assert dec.multiplicities == closed.multiplicities
+    assert np.max(np.abs(dec.eigenvalues - closed.eigenvalues)) <= 1e-8
 
 
 def test_star_product_reconstruction_and_zero_multiplicity():
-    product = rooted_star_product(oriented_to_hermitian(oriented_k3()), 3)
-    assert np.max(np.abs(product.reconstruction()
-                         - product.matrix.array)) <= 1e-8
-    zeros = np.sum(np.abs(product.predicted_eigenvalues) < 1e-12)
-    assert zeros == (3 - 1) * 3
+    base = oriented_to_hermitian(oriented_k3())
+    product = rooted_star_product(base, 3)
+    closed = rooted_star_spectrum(base, 3)
+    closed.validate(product)
+    assert np.max(np.abs(closed.matrix() - product.array)) <= 1e-8
+    zero = int(np.argmin(np.abs(closed.eigenvalues)))
+    assert closed.eigenvalues[zero] == 0.0
+    assert closed.multiplicities[zero] == (3 - 1) * 3
 
 
 def test_star_product_single_vertex_base():
-    product = rooted_star_product(hermitian_from_entries([[0]]), 1)
-    assert np.allclose(product.predicted_eigenvalues, [-1.0, 1.0])
-    dec = spectral_decomposition(product.matrix)
+    base = hermitian_from_entries([[0]])
+    assert np.allclose(rooted_star_spectrum(base, 1).eigenvalues, [-1.0, 1.0])
+    dec = spectral_decomposition(rooted_star_product(base, 1))
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
 
@@ -214,7 +219,7 @@ def test_star_product_base_major_permutation_equivalent():
     for pos in range(m + 1):
         for copy in range(n):
             perm[copy * (m + 1) + pos, pos * n + copy] = 1.0
-    copy_major = perm @ product.matrix.array @ perm.T
+    copy_major = perm @ product.array @ perm.T
     alt = np.kron(base.array, np.diag([1.0] + [0.0] * m))
     star = np.zeros((m + 1, m + 1))
     star[0, 1:] = star[1:, 0] = 1.0
@@ -273,7 +278,7 @@ def test_looped_path_requires_circulant():
 def test_looped_path_eigenpairs_and_quarrels():
     circ = upst_circulant(3, 0, 1, 1)
     product = rooted_looped_path_product(circ.matrix, 2, math.pi,
-                                         gamma_tag=PI, thetas_exact=circ.thetas)
+                                         thetas_exact=circ.thetas)
     dec = spectral_decomposition(product.matrix)
     assert len(dec.eigenvalues) == 6  # all simple
     assert np.min(np.diff(dec.eigenvalues)) > 1e-8

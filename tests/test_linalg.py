@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qwalk.constructions import build_family
-from qwalk.linalg import (ClusterAmbiguityWarning, ComplexMatrix,
-                          DimensionOverflow, EigensolverFailure,
-                          HermitianMatrix, NotHermitian, NotSquare,
-                          SpectralDecomposition, hermitian_from_entries, kron,
+from qwalk.linalg import (ClusterAmbiguityWarning, DimensionOverflow,
+                          EigensolverFailure, HermitianMatrix, NotHermitian,
+                          NotSquare, SpectralDecomposition,
+                          hermitian_from_entries, kron,
                           spectral_decomposition, transition_matrix)
 
 K3_MATRIX = [[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]]
@@ -34,8 +34,8 @@ def test_hermitian_trivial_and_errors():
         hermitian_from_entries([[0, 1], [2, 0]])
     with pytest.raises(NotSquare):
         hermitian_from_entries([[0, 1, 2], [1, 0, 1]])
-    with pytest.raises(ValueError):
-        ComplexMatrix([[np.nan, 0], [0, 0]])
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        hermitian_from_entries([[np.nan, 0], [0, 0]])
 
 
 def test_hermitian_symmetrizes_and_fixes_diagonal():
@@ -90,8 +90,8 @@ def test_hermitian_from_entries_peak_memory_at_256():
     finally:
         tracemalloc.stop()
     assert h.dim == n
-    # the input copy and one work matrix, then the work matrix and the
-    # result: two n x n complex matrices (16 n^2 bytes each) at a time
+    # the input copy, which becomes the result, and one work matrix: two
+    # n x n complex matrices (16 n^2 bytes each) at a time
     assert peak <= 2.5 * 16 * n * n
 
 
@@ -232,7 +232,7 @@ def test_spectral_decomposition_peak_memory_at_256():
 def test_transition_identity_at_zero():
     rng = np.random.default_rng(3)
     dec = spectral_decomposition(random_hermitian(rng, 5))
-    assert np.allclose(transition_matrix(dec, 0.0).array, np.eye(5), atol=1e-12)
+    assert np.allclose(transition_matrix(dec, 0.0), np.eye(5), atol=1e-12)
 
 
 def test_k3_transfer_time_grid_search_oracle():
@@ -251,7 +251,7 @@ def test_k2_closed_form_oracle():
     dec = spectral_decomposition(h)
     for t in (0.3, math.pi / 2, 2.1):
         closed = math.cos(t) * np.eye(2) - 1j * math.sin(t) * h.array
-        assert np.max(np.abs(transition_matrix(dec, t).array - closed)) < 1e-12
+        assert np.max(np.abs(transition_matrix(dec, t) - closed)) < 1e-12
     assert abs(transition_matrix(dec, math.pi / 2)[1, 0]) >= 1 - 1e-9
 
 
@@ -260,12 +260,12 @@ def test_group_law_and_unitarity_random_times():
     dec = spectral_decomposition(random_hermitian(rng, 6))
     for _ in range(8):
         t, s = rng.uniform(-10, 10, 2)
-        ut = transition_matrix(dec, t).array
-        us = transition_matrix(dec, s).array
-        uts = transition_matrix(dec, t + s).array
+        ut = transition_matrix(dec, t)
+        us = transition_matrix(dec, s)
+        uts = transition_matrix(dec, t + s)
         assert np.max(np.abs(uts - ut @ us)) <= 1e-9
         assert np.max(np.abs(ut @ ut.conj().T - np.eye(6))) <= 1e-9
-        assert np.max(np.abs(ut.conj().T - transition_matrix(dec, -t).array)) <= 1e-9
+        assert np.max(np.abs(ut.conj().T - transition_matrix(dec, -t))) <= 1e-9
 
 
 def test_trace_identity_zero_diagonal():
@@ -285,8 +285,8 @@ def test_trace_identity_zero_diagonal():
 # --- kron ---------------------------------------------------------------------
 
 def test_kron_basics():
-    assert np.allclose(kron(np.eye(2), np.eye(3)).array, np.eye(6))
-    assert np.allclose(kron([[0, 1], [1, 0]], [[2]]).array, [[0, 2], [2, 0]])
+    assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
+    assert np.allclose(kron([[0, 1], [1, 0]], [[2]]), [[0, 2], [2, 0]])
     with pytest.raises(DimensionOverflow):
         kron(np.eye(70), np.eye(70))
 
@@ -296,13 +296,13 @@ def test_tensor_factor_exponential_identity():
     h_x = hermitian_from_entries([[0, 1j], [-1j, 0]])
     j4 = np.ones((4, 4))
     t = 0.7
-    big = spectral_decomposition(kron(h_x.array, j4).array)
-    lhs = transition_matrix(big, t).array
+    big = spectral_decomposition(kron(h_x.array, j4))
+    lhs = transition_matrix(big, t)
     dec_x = spectral_decomposition(h_x)
     dec_j = spectral_decomposition(j4)
     rhs = np.zeros((8, 8), dtype=complex)
     for r, theta in enumerate(dec_x.eigenvalues):
-        rhs += np.kron(dec_x.projector(r), transition_matrix(dec_j, t * theta).array)
+        rhs += np.kron(dec_x.projector(r), transition_matrix(dec_j, t * theta))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -310,11 +310,11 @@ def test_tensor_factor_exponential_identity():
 
 def test_complex_matrix_json_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
-    mat = ComplexMatrix(rng.standard_normal((4, 4))
-                        + 1j * rng.standard_normal((4, 4)))
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = hermitian_from_entries(raw + raw.conj().T)
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(mat.to_json()))
-    loaded = ComplexMatrix.load(path)
+    loaded = HermitianMatrix.load(path)
     assert np.array_equal(mat.array, loaded.array)
     payload = json.loads(path.read_text())
     assert set(payload) == {"dim", "re", "im"}
@@ -325,3 +325,16 @@ def test_hermitian_json_roundtrip():
     h = hermitian_from_entries(K3_MATRIX)
     again = HermitianMatrix.from_json(h.to_json())
     assert np.allclose(h.array, again.array)
+
+
+def test_hermitian_matrix_array_protocol():
+    # np.asarray reads the read-only storage; np.array asks for a copy and
+    # gets a writable one, so no caller can write through to the matrix
+    h = hermitian_from_entries(K3_MATRIX)
+    view = np.asarray(h)
+    assert np.shares_memory(view, h.array) and not view.flags.writeable
+    copy = np.array(h)
+    assert not np.shares_memory(copy, h.array) and copy.flags.writeable
+    with pytest.raises(ValueError):
+        np.asarray(h, dtype=np.complex64, copy=False)  # would need a copy
+    assert np.array_equal(hermitian_from_entries(h).array, h.array)

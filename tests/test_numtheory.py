@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import numtheory
-from qwalk.numtheory import (PROBE_TOL, DimensionTooLarge, Poly2, Surd, Transcendental,
+from qwalk.numtheory import (PROBE_TOL, DimensionTooLarge, Surd, Transcendental,
                              charpoly_int, charpoly_mod2, float_relation_probe,
-                             integer_kernel, poly_from_roots_mod2, poly_gcd,
+                             integer_kernel, poly_gcd,
                              relation_lattice, solve_congruences,
                              square_free_part)
 
@@ -95,12 +95,6 @@ def test_surd_symbols_are_independent_basis():
     v = Surd.symbol(lam) + Surd.sqrt(2)
     assert not v.is_zero()  # sqrt(2) the radical is not the symbol lambda
     assert v.has_symbols
-
-
-def test_surd_json_roundtrip():
-    lam = Transcendental("lambda", math.sqrt(2))
-    v = Surd(Fraction(-3, 2), {12: Fraction(1, 3)}, {lam: Fraction(2)})
-    assert Surd.from_json(v.to_json()) == v
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
@@ -328,7 +322,7 @@ def test_probe_budget():
         float_relation_probe([1.0], 51)
 
 
-# --- GF(2) characteristic polynomials ---------------------------------------
+# --- integer and mod-2 characteristic polynomials ----------------------------
 
 def test_charpoly_against_sympy_oracle():
     rng = np.random.default_rng(7)
@@ -349,11 +343,13 @@ def test_k7_rule_out_example():
     mine = charpoly_int(k7)
     assert mine == [int(c) for c in oracle]
     lhs = charpoly_mod2(k7)
-    rhs = poly_from_roots_mod2([0, 1, -1, 2, -2, 4, -4])
+    assert lhs == [int(c) % 2 for c in oracle]
+    roots = [0, 1, -1, 2, -2, 4, -4]
+    rhs = charpoly_mod2([[r if i == j else 0 for j in range(7)]
+                         for i, r in enumerate(roots)])
     # exact expansion oracle for the candidate roots
-    expanded = sympy.Poly(sympy.prod([(t - r) for r in [0, 1, -1, 2, -2, 4, -4]]),
-                          t).all_coeffs()
-    assert rhs == Poly2(reversed([int(c) % 2 for c in expanded]))
+    expanded = sympy.Poly(sympy.prod([(t - r) for r in roots]), t).all_coeffs()
+    assert rhs == [int(c) % 2 for c in expanded]
     assert lhs != rhs  # the case is ruled out
 
 
@@ -397,4 +393,9 @@ def test_poly2_block_multiplicativity():
     for i in range(4):
         for j in range(4):
             blocks[3 + i][3 + j] = b[i][j]
-    assert charpoly_mod2(blocks) == charpoly_mod2(a) * charpoly_mod2(b)
+    pa, pb = charpoly_mod2(a), charpoly_mod2(b)
+    product = [0] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            product[i + j] = (product[i + j] + x * y) % 2
+    assert charpoly_mod2(blocks) == product

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwalk.constructions import (oriented_k3, oriented_to_hermitian,
-                                 rooted_star_product)
+                                 rooted_star_product, rooted_star_spectrum)
 from qwalk.linalg import spectral_decomposition
 from qwalk.numtheory import Surd, square_free_part
 from qwalk.star import CSV_HEADER, classify_star_m, star_support_surds
@@ -57,9 +57,8 @@ def test_support_surds_normalization():
 def test_support_surds_match_star_product_numerically():
     for m in (1, 4, 9):
         values, _ = star_support_surds(m)
-        product = rooted_star_product(oriented_to_hermitian(oriented_k3()), m)
-        nonzero = sorted(lam for _, lam_p, lam_m in product.branches
-                         for lam in (lam_p, lam_m))
+        closed = rooted_star_spectrum(oriented_to_hermitian(oriented_k3()), m)
+        nonzero = [lam for lam in closed.eigenvalues if lam != 0.0]
         assert np.allclose(sorted(float(v) for v in values), nonzero,
                            atol=1e-10)
 
@@ -81,7 +80,7 @@ def test_rotational_symmetry_of_verdicts():
     # the three non-pendant pairs carry the same quarrel multiset, so the
     # certification verdict cannot depend on the pair
     product = rooted_star_product(oriented_to_hermitian(oriented_k3()), 2)
-    dec = spectral_decomposition(product.matrix)
+    dec = spectral_decomposition(product)
     multisets = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         q = strong_cospectrality(dec, a, b)
@@ -96,11 +95,11 @@ def test_numeric_corroboration_windows():
     # (measured 0.9486 for m = 3 with this grid)
     base = oriented_to_hermitian(oriented_k3())
     product = rooted_star_product(base, 1)
-    dec = spectral_decomposition(product.matrix)
+    dec = spectral_decomposition(product)
     sweep = fidelity_sweep(dec, 0, 1, 5e4, 2_000_001)
     assert sweep.best_fidelity >= 0.9
     product = rooted_star_product(base, 3)
-    dec = spectral_decomposition(product.matrix)
+    dec = spectral_decomposition(product)
     sweep = fidelity_sweep(dec, 0, 1, 5e4, 2_000_001)
     print(f"non-PGST m=3 sweep max (recorded): {sweep.best_fidelity:.6f}")
 

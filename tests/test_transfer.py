@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ def test_k3_full_support():
 
 def test_star_root_excludes_zero_projector():
     product = rooted_star_product(oriented_to_hermitian(oriented_k3()), 3)
-    dec = spectral_decomposition(product.matrix)
+    dec = spectral_decomposition(product)
     zero_idx = int(np.argmin(np.abs(dec.eigenvalues)))
     assert abs(dec.eigenvalues[zero_idx]) < 1e-9
     for root in range(3):
@@ -75,7 +76,7 @@ def test_self_pair_zero_quarrels():
 
 def test_star_product_quarrel_pattern():
     product = rooted_star_product(oriented_to_hermitian(oriented_k3()), 2)
-    dec = spectral_decomposition(product.matrix)
+    dec = spectral_decomposition(product)
     q = strong_cospectrality(dec, 0, 1)
     turns = sorted(u for u in q.rationals)
     assert turns == [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 3),
@@ -254,7 +255,7 @@ def test_quarrel_reconstruction_consistency():
     for r, phase in zip(q.support, q.phases):
         rebuilt += (np.exp(1j * (phase - tau * dec.eigenvalues[r]))
                     * dec.projector(r)[:, 2])
-    direct = transition_matrix(dec, tau).array[:, 0]
+    direct = transition_matrix(dec, tau)[:, 0]
     assert np.max(np.abs(rebuilt - direct)) <= 1e-7
 
 
@@ -655,3 +656,47 @@ def test_verdict_json_shape():
     payload = certify_pgst(values, turns).to_json()
     assert payload["kind"] == "absent-certified"
     assert "witness" in payload
+
+
+def test_verdict_json_needs_no_default():
+    # every verdict kind and every witness criterion serializes with the
+    # plain json encoder: witnesses hold dicts, lists, tuples, ints, floats,
+    # strs and Fractions only
+    def family(name, **params):
+        bundle = build_family(name, **params)
+        return spectral_decomposition(bundle.matrix), bundle
+    k3 = k3_dec()
+    c4, _ = family("oriented-cycle", n=4)
+    c6, _ = family("oriented-cycle", n=6)
+    star6, star6_bundle = family("star-product", m=6)
+    star3, star3_bundle = family("star-product", m=3)
+    looped, looped_bundle = family("looped-path", m=2)
+    one_way, _ = family("one-way-4")
+    p3 = spectral_decomposition(hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    irrational = [Surd(0), Surd(1), Surd.sqrt(2)]
+    ratio = spectral_decomposition(_three_vertex_matrix([float(v) for v in irrational]))
+    congruence = spectral_decomposition(_three_vertex_matrix([0, 1, 3]))
+    verdicts = [
+        pst_verdict(k3, 0, 1, K3_EXACT),
+        pst_verdict(c4, 0, 2),
+        pgst_verdict(star6, 0, 1, star6_bundle.exact_spectrum),
+        pgst_verdict(looped, 0, 1, lattice=looped_bundle.lattice),
+        pst_verdict(p3, 0, 1),
+        pst_verdict(c6, 0, 3),
+        pst_verdict(ratio, 0, 0, irrational),
+        pst_verdict(congruence, 0, 1, [Surd(0), Surd(1), Surd(3)]),
+        pgst_verdict(star3, 0, 1, star3_bundle.exact_spectrum),
+        pst_verdict(one_way, 0, 2),
+        pgst_verdict(c4, 0, 2),
+    ]
+    seen = set()
+    for verdict in verdicts:
+        payload = verdict.to_json()
+        assert json.loads(json.dumps(payload)) == payload
+        seen.add((verdict.kind, verdict.witness.get("criterion")))
+    assert {kind for kind, _ in seen} == {
+        "PST-certified", "PST-numeric", "PGST-certified", "absent-certified",
+        "numeric-evidence"}
+    assert {criterion for _, criterion in seen} == {
+        None, "strong-cospectrality", "ratio-condition", "phase-congruence",
+        "kronecker"}
