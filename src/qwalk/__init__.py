@@ -2,14 +2,14 @@
 construction of the state-transfer families, exact and numeric transfer
 certification, and the universal-transfer classification search."""
 
-from .constructions import (FamilyBundle, JacobiMatrix, OrientedGraph,
-                            build_family, build_family_spec, c4_matrix,
+from .constructions import (FamilyBundle, OrientedGraph, build_family,
+                            build_family_spec, c4_matrix,
                             c4_tensor_construction, one_way_family_4,
                             one_way_family_8, oriented_cycle,
                             oriented_hypercube, oriented_k2, oriented_k3,
-                            oriented_to_hermitian, orthogonal_polynomials,
-                            rooted_looped_path_product, rooted_star_product,
-                            rooted_star_spectrum, upst_circulant)
+                            oriented_to_hermitian, rooted_looped_path_product,
+                            rooted_star_product, rooted_star_spectrum,
+                            upst_circulant)
 from .linalg import (HermitianMatrix, SpectralDecomposition,
                      hermitian_from_entries, kron, spectral_decomposition,
                      transition_matrix)

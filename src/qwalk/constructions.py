@@ -17,10 +17,10 @@ from .linalg import (HermitianMatrix, SpectralDecomposition,
                      hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
+from .star import star_support_surds
 
 TWO_PI = 2 * math.pi
 ODD_INTEGER_TOL = 1e-8  # c4_tensor_construction's base spectrum check
-CIRCULANT_TOL = 1e-10
 
 
 class SpectrumNotOddInteger(ValueError):
@@ -32,10 +32,6 @@ class NonCoprime(ValueError):
 
 
 class DuplicateEigenvalue(ValueError):
-    pass
-
-
-class NotCirculant(ValueError):
     pass
 
 
@@ -189,24 +185,6 @@ def upst_circulant(n: int, alpha, beta, h: int,
     return Circulant(hermitian_from_entries(mat), thetas)
 
 
-def is_circulant(h) -> bool:
-    a = np.asarray(h, dtype=complex)
-    n = a.shape[0]
-    first = a[0]
-    for i in range(1, n):
-        if np.max(np.abs(a[i] - np.roll(first, i))) > CIRCULANT_TOL:
-            return False
-    return True
-
-
-def circulant_thetas(h) -> np.ndarray:
-    """Eigenvalues on the Fourier basis, ordered by Fourier index."""
-    a = np.asarray(h, dtype=complex)
-    n = a.shape[0]
-    f = dft_matrix(n)
-    return np.real(np.einsum("aj,ab,bj->j", f.conj(), a, f))
-
-
 # ---------------------------------------------------------------------------
 # Rooted star product
 # ---------------------------------------------------------------------------
@@ -262,59 +240,25 @@ def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
 # Rooted looped-path product and its Jacobi spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Tridiagonal matrix with unit off-diagonal, loop weight gamma at the
-    top corner and theta_j at the bottom corner."""
+def _jacobi_eigenpairs(m: int, gamma: float, theta: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the m x m tridiagonal matrix with unit off-diagonal,
+    loop weight gamma at the top corner and theta at the bottom corner.
 
-    m: int
-    gamma: float
-    theta: float
-
-    @property
-    def array(self) -> np.ndarray:
-        t = np.zeros((self.m, self.m))
-        for i in range(self.m - 1):
-            t[i, i + 1] = t[i + 1, i] = 1.0
-        t[0, 0] += self.gamma
-        t[-1, -1] += self.theta
-        return t
-
-
-@dataclass
-class OrthogonalPolynomials:
-    """Three-term recurrence data of a Jacobi matrix: phi_0 .. phi_m
-    (coefficient arrays ascending), the roots of phi_m, and the eigenvector
-    matrix whose column s is (1, phi_1(root_s), ..., phi_{m-1}(root_s))."""
-
-    coefficients: list[np.ndarray]
-    roots: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def orthogonal_polynomials(jm: JacobiMatrix) -> OrthogonalPolynomials:
-    """Characteristic polynomials of the leading principal submatrices:
-    phi_r = (t - diag_r) phi_{r-1} - phi_{r-2}, with phi_1 = t - gamma and
-    the final step using t - theta_j (both corrections land on the single
-    entry when m = 1)."""
-    m = jm.m
-    diag = np.zeros(m)
-    diag[0] += jm.gamma
-    diag[-1] += jm.theta
-    coeffs = [np.array([1.0])]
-    prev2 = None
-    for r in range(1, m + 1):
-        shift = np.polynomial.polynomial.polymul(
-            np.array([-diag[r - 1], 1.0]), coeffs[r - 1])
-        if prev2 is not None:
-            shift = np.polynomial.polynomial.polysub(shift, prev2)
-        prev2 = coeffs[r - 1]
-        coeffs.append(shift)
-    roots = np.sort(np.linalg.eigvalsh(jm.array))
+    Returns the ascending roots (eigvalsh) and the matrix whose column s is
+    (phi_0, ..., phi_{m-1}) at root s, from the three-term recurrence
+    phi_r = (t - d_r) phi_{r-1} - phi_{r-2}, phi_0 = 1, d the diagonal
+    (both corrections land on the single entry when m = 1)."""
+    jacobi = np.eye(m, k=1) + np.eye(m, k=-1)
+    jacobi[0, 0] += gamma
+    jacobi[-1, -1] += theta
+    roots = np.linalg.eigvalsh(jacobi)
     vecs = np.ones((m, m))
     for r in range(1, m):
-        vecs[r, :] = np.polynomial.polynomial.polyval(roots, coeffs[r])
-    return OrthogonalPolynomials(coeffs, roots, vecs)
+        vecs[r] = (roots - jacobi[r - 1, r - 1]) * vecs[r - 1]
+        if r > 1:
+            vecs[r] -= vecs[r - 2]
+    return roots, vecs
 
 
 @dataclass
@@ -326,18 +270,14 @@ class LoopedPathProduct:
     matrix: HermitianMatrix
     n: int
     m: int
-    thetas_exact: Optional[list[Fraction]]  # Fourier-ordered base spectrum
-    eigenpairs: list[tuple[int, int, float, np.ndarray]]  # (j, s, lam, vec)
+    thetas: list[Fraction]  # base spectrum, ordered by Fourier index
+    # (j, s, lam, vec) sorted ascending by lam, the index order of a
+    # spectral decomposition of the (simple-spectrum) product matrix
+    eigenpairs: list[tuple[int, int, float, np.ndarray]]
 
     def vertex(self, h: int, level: int) -> int:
         """Index of (x_h, level) with level counted 1..m as in the labels."""
         return (level - 1) * self.n + h
-
-    @property
-    def eigenpairs_by_value(self):
-        """Eigenpairs sorted ascending by eigenvalue, matching the index
-        order of a spectral decomposition of the product matrix."""
-        return sorted(self.eigenpairs, key=lambda e: e[2])
 
     def relation_superlattice(self) -> RelationLattice:
         """Integer vectors killing both trace conditions: sum l = 0 and
@@ -346,54 +286,41 @@ class LoopedPathProduct:
         For transcendental gamma and rational base spectrum every true
         eigenvalue relation satisfies both, so this lattice contains the
         true one; a Kronecker check passing on it is conclusive."""
-        if self.thetas_exact is None:
-            raise ValueError("need exact rational base eigenvalues")
-        ordered = self.eigenpairs_by_value
-        row_ones = [1] * len(ordered)
-        row_theta = [self.thetas_exact[j] for j, _, _, _ in ordered]
-        gens = integer_kernel([row_ones, row_theta], len(ordered))
-        return RelationLattice(gens, len(ordered))
+        row_ones = [1] * len(self.eigenpairs)
+        row_theta = [self.thetas[j] for j, _, _, _ in self.eigenpairs]
+        gens = integer_kernel([row_ones, row_theta], len(self.eigenpairs))
+        return RelationLattice(gens, len(self.eigenpairs))
 
     def quarrel_turns(self, a: int, b: int) -> list[Fraction]:
         """Exact quarrels q/(2*pi) for the level pair ((x_a,h),(x_b,h)) in
         eigenvalue-sorted order: 2*pi*j*(b-a)/n for branch j."""
         return [Fraction(j * (b - a), self.n) % 1
-                for j, _, _, _ in self.eigenpairs_by_value]
+                for j, _, _, _ in self.eigenpairs]
 
 
-def rooted_looped_path_product(h_x, m: int, gamma: float,
-                               thetas_exact: Optional[Sequence[Fraction]] = None
+def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
                                ) -> LoopedPathProduct:
     """Assemble the mn x mn product of a Hermitian circulant with a looped
     path, together with the predicted eigenpairs (poly eigenvector) (x)
     (Fourier vector), one Jacobi matrix per Fourier branch."""
-    a = np.asarray(h_x, dtype=complex)
-    if not is_circulant(a):
-        raise NotCirculant("base matrix is not circulant")
-    n = a.shape[0]
     if m < 1:
         raise ValueError("m must be at least 1")
+    n = circ.matrix.dim
     root_block = np.zeros((m, m))
     root_block[-1, -1] = 1.0
-    path = np.zeros((m, m))
-    for i in range(m - 1):
-        path[i, i + 1] = path[i + 1, i] = 1.0
+    path = np.eye(m, k=1) + np.eye(m, k=-1)
     path[0, 0] = gamma
-    h_z = kron(root_block, a) + kron(path, np.eye(n))
-    thetas = circulant_thetas(a)
+    h_z = kron(root_block, circ.matrix) + kron(path, np.eye(n))
     fourier = dft_matrix(n)
     eigenpairs = []
-    for j in range(n):
-        op = orthogonal_polynomials(JacobiMatrix(m, gamma, float(thetas[j])))
+    for j, theta in enumerate(circ.thetas):
+        roots, vecs = _jacobi_eigenpairs(m, gamma, float(theta))
         for s in range(m):
-            vec = np.kron(op.eigenvectors[:, s], fourier[:, j])
-            eigenpairs.append((j, s, float(op.roots[s]), vec))
-    exact = list(thetas_exact) if thetas_exact is not None else None
-    if exact is not None and any(abs(float(f) - t) > 1e-9
-                                 for f, t in zip(exact, thetas)):
-        raise ValueError("exact base spectrum disagrees with the matrix")
-    return LoopedPathProduct(hermitian_from_entries(h_z), n, m, exact,
-                             eigenpairs)
+            vec = np.kron(vecs[:, s], fourier[:, j])
+            eigenpairs.append((j, s, float(roots[s]), vec))
+    eigenpairs.sort(key=lambda e: e[2])
+    return LoopedPathProduct(hermitian_from_entries(h_z), n, m,
+                             list(circ.thetas), eigenpairs)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +335,7 @@ class OneWayFamily:
     notes: str
 
 
-def one_way_family_4(lam: float, tag_name: str = "lambda") -> OneWayFamily:
+def one_way_family_4(lam: float) -> OneWayFamily:
     """4-vertex Hermitian graph with PST from vertex 2 to vertex 0 (0-based)
     at time 1 and phase 1, periodic nowhere when lam is not in Q*pi.
 
@@ -434,14 +361,14 @@ def one_way_family_4(lam: float, tag_name: str = "lambda") -> OneWayFamily:
     if err > 1e-10:
         raise AssemblyMismatch(
             f"P D P* and the closed form differ by {err:.3e}")
-    tag = Transcendental(tag_name, lam)
+    tag = Transcendental("lambda", lam)
     lam_surd, notes = _parameter_surd(lam, tag)
     spectrum = [Surd(0), Surd.symbol(PI), lam_surd,
                 lam_surd + Surd.symbol(PI)]
     return OneWayFamily(hermitian_from_entries(closed), p, spectrum, notes)
 
 
-def one_way_family_8(theta: float, tag_name: str = "theta") -> OneWayFamily:
+def one_way_family_8(theta: float) -> OneWayFamily:
     """8-vertex one-way family from the complex-Hadamard diagonalization;
     PST 0 -> 1 at t = 1, 0 -> 2 at t = 2, 0 -> 3 at t = 3 (0-based)."""
     i = 1j
@@ -464,7 +391,7 @@ def one_way_family_8(theta: float, tag_name: str = "theta") -> OneWayFamily:
     if err > 1e-10:
         raise NonHermitianResult(
             f"P D P^-1 deviates from Hermitian by {err:.3e}")
-    tag = Transcendental(tag_name, theta)
+    tag = Transcendental("theta", theta)
     th, notes = _parameter_surd(theta, tag)
     half = Surd.symbol(PI, Fraction(1, 2))
     spectrum = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
@@ -574,7 +501,6 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         m = int(params["m"])
         base = oriented_to_hermitian(oriented_k3())
         product = rooted_star_product(base, m)
-        from .star import star_support_surds
         exact = star_support_surds(m)[0] + [Surd(0)]
         return FamilyBundle(key, product, exact)
     if key == "looped_path":
@@ -583,8 +509,14 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         gamma = float(params.get("param", math.pi))
         circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
                               int(params.get("h", 1)), params.get("c"))
-        product = rooted_looped_path_product(circ.matrix, m, gamma,
-                                             circ.thetas)
+        product = rooted_looped_path_product(circ, m, gamma)
+        ratio = Fraction(gamma).limit_denominator(64)
+        if abs(gamma - float(ratio)) <= 1e-12:
+            # a rational loop weight breaks the trace-condition argument
+            # behind relation_superlattice: no exact check applies
+            return FamilyBundle(key, product.matrix,
+                                notes=f"loop weight gamma = {ratio} is "
+                                      "rational: no exact PGST check")
         return FamilyBundle(key, product.matrix,
                             notes=f"loop weight gamma = {gamma!r} assumed "
                                   "transcendental",

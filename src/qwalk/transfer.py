@@ -31,6 +31,7 @@ REFINE_ITERS = 60  # golden-section steps per refined peak
 PGST_SWEEP_T_MAX = 200.0  # sweep window of pgst_verdict's numeric fallback
 PGST_SWEEP_STEPS = 40_001
 QUARREL_MAX_DENOMINATOR = 128
+QUARREL_TOL = 1e-9  # radians between a phase and its recognized turn
 TWO_PI = 2 * math.pi
 
 
@@ -78,14 +79,13 @@ class QuarrelSet:
         return None if None in self.rationals else list(self.rationals)
 
 
-def _recognize_turn(phase: float, max_denominator: int,
-                    tol: float = 1e-9) -> Optional[Fraction]:
+def _recognize_turn(phase: float) -> Optional[Fraction]:
     turn = (phase / TWO_PI) % 1.0
-    cand = Fraction(turn).limit_denominator(max_denominator)
+    cand = Fraction(turn).limit_denominator(QUARREL_MAX_DENOMINATOR)
     err = abs(turn - float(cand)) * TWO_PI
     err = min(err, abs(turn - float(cand) - 1.0) * TWO_PI,
               abs(turn - float(cand) + 1.0) * TWO_PI)
-    return cand % 1 if err <= tol else None
+    return cand % 1 if err <= QUARREL_TOL else None
 
 
 def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int) -> QuarrelSet:
@@ -116,7 +116,7 @@ def strong_cospectrality(dec: SpectralDecomposition, a: int, b: int) -> QuarrelS
         if residual > PROPORTIONALITY_TOL:
             raise NotProportional(a, b, r, residual)
         phases.append(q)
-        rationals.append(_recognize_turn(q, QUARREL_MAX_DENOMINATOR))
+        rationals.append(_recognize_turn(q))
     return QuarrelSet(a, b, support, tuple(phases), tuple(rationals))
 
 

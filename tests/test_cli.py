@@ -105,6 +105,20 @@ def test_pgst_check_looped_path(capsys):
     assert verdict["kind"] == "PGST-certified"
 
 
+@pytest.mark.parametrize("gamma", ["0", "2.5"])
+def test_pgst_check_looped_path_rational_loop_weight_is_numeric(capsys, gamma):
+    # a rational loop weight breaks the trace-condition superlattice; at
+    # gamma = 0 the true relation lattice refuses PGST for this pair
+    code, out, _ = run_cli(capsys, "pgst-check", "--family", "looped-path",
+                           "--m", "2", "--param", gamma,
+                           "--from", "0", "--to", "1")
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["kind"] == "numeric-evidence"
+    assert verdict["witness"]["mode"] == "numeric"
+    assert "is rational" in verdict["notes"]
+
+
 def test_pgst_check_star_product_exact_both_ways(capsys):
     code, out, _ = run_cli(capsys, "pgst-check", "--family", "star-product",
                            "--m", "2", "--from", "0", "--to", "1")

@@ -4,17 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qwalk.constructions import (_FAMILY_PARAMETERS, JacobiMatrix,
-                                 NonCoprime, NotCirculant, OrientedGraph,
-                                 SIGNED_SHIFT_4,
-                                 SpectrumNotOddInteger, build_family,
-                                 build_family_spec, c4_matrix,
-                                 c4_tensor_construction, circulant_thetas,
-                                 is_circulant, one_way_family_4,
-                                 one_way_family_8, oriented_cycle,
-                                 oriented_hypercube, oriented_k2, oriented_k3,
+from qwalk.constructions import (_FAMILY_PARAMETERS, NonCoprime,
+                                 OrientedGraph, SIGNED_SHIFT_4,
+                                 SpectrumNotOddInteger, _jacobi_eigenpairs,
+                                 build_family, build_family_spec, c4_matrix,
+                                 c4_tensor_construction, dft_matrix,
+                                 one_way_family_4, one_way_family_8,
+                                 oriented_cycle, oriented_hypercube,
+                                 oriented_k2, oriented_k3,
                                  oriented_to_hermitian,
-                                 orthogonal_polynomials,
                                  rooted_looped_path_product,
                                  rooted_star_product, rooted_star_spectrum,
                                  upst_circulant)
@@ -166,10 +164,16 @@ def test_upst_circulant_errors():
 
 
 def test_circulant_detection():
+    # rows are cyclic shifts of the first, and the Fourier basis
+    # diagonalizes the matrix with the exact spectrum in Fourier order
     circ = upst_circulant(4, 0, 1, 1)
-    assert is_circulant(circ.matrix.array)
-    assert np.allclose(circulant_thetas(circ.matrix.array), [0, 1, 2, 3])
-    assert not is_circulant(np.diag([1.0, 2.0]))
+    h = circ.matrix.array
+    for i in range(1, 4):
+        assert np.max(np.abs(h[i] - np.roll(h[0], i))) <= 1e-12
+    f = dft_matrix(4)
+    want = np.diag([float(t) for t in circ.thetas])
+    assert circ.thetas == [0, 1, 2, 3]
+    assert np.max(np.abs(f.conj().T @ h @ f - want)) <= 1e-12
 
 
 # --- rooted star product ---------------------------------------------------------------
@@ -229,56 +233,65 @@ def test_star_product_base_major_permutation_equivalent():
 
 # --- Jacobi matrices and orthogonal polynomials -------------------------------------------
 
+def jacobi_array(m, gamma, theta):
+    t = np.zeros((m, m))
+    for i in range(m - 1):
+        t[i, i + 1] = t[i + 1, i] = 1.0
+    t[0, 0] += gamma
+    t[-1, -1] += theta
+    return t
+
+
 def test_orthogonal_polynomial_m2_closed_form():
-    # phi_2 for gamma = pi, theta = 0 expands to t^2 - pi t - 1
-    ops = orthogonal_polynomials(JacobiMatrix(2, math.pi, 0.0))
-    assert np.allclose(ops.coefficients[2], [-1.0, -math.pi, 1.0])
+    # gamma = pi, theta = 0: the roots solve t^2 - pi t - 1 = 0 and the
+    # eigenvector at root lam is (phi_0, phi_1) = (1, lam - gamma)
+    roots, vecs = _jacobi_eigenpairs(2, math.pi, 0.0)
+    for s, lam in enumerate(roots):
+        assert abs(lam * lam - math.pi * lam - 1) <= 1e-12
+        assert np.allclose(vecs[:, s], [1.0, lam - math.pi], atol=1e-12)
+    assert roots[0] < roots[1]
 
 
 def test_orthogonal_polynomials_match_charpoly_determinant_oracle():
-    rng = np.random.default_rng(8)
-    jm = JacobiMatrix(5, 0.7, -1.3)
-    ops = orthogonal_polynomials(jm)
-    for t in rng.uniform(-4, 4, size=10):
-        det = np.linalg.det(t * np.eye(5) - jm.array)
-        mine = np.polynomial.polynomial.polyval(t, ops.coefficients[5])
-        assert abs(det - mine) < 1e-8 * max(1.0, abs(det))
+    # phi_r is the characteristic polynomial of the leading r x r block,
+    # and phi_5 vanishes at every root
+    t = jacobi_array(5, 0.7, -1.3)
+    roots, vecs = _jacobi_eigenpairs(5, 0.7, -1.3)
+    for s, lam in enumerate(roots):
+        shifted = lam * np.eye(5) - t
+        assert abs(np.linalg.det(shifted)) <= 1e-8
+        for r in range(1, 5):
+            det = np.linalg.det(shifted[:r, :r])
+            assert abs(det - vecs[r, s]) < 1e-8 * max(1.0, abs(det))
 
 
 def test_orthogonal_polynomial_eigenvectors():
-    jm = JacobiMatrix(4, math.pi, 2.0)
-    ops = orthogonal_polynomials(jm)
-    t = jm.array
+    t = jacobi_array(4, math.pi, 2.0)
+    roots, vecs = _jacobi_eigenpairs(4, math.pi, 2.0)
     for s in range(4):
-        vec = ops.eigenvectors[:, s]
-        residual = np.max(np.abs(t @ vec - ops.roots[s] * vec))
+        vec = vecs[:, s]
+        residual = np.max(np.abs(t @ vec - roots[s] * vec))
         assert residual <= 1e-8 * max(1.0, np.linalg.norm(vec))
 
 
 def test_jacobi_m1_degenerate():
-    jm = JacobiMatrix(1, 0.5, 2.0)
-    assert np.allclose(jm.array, [[2.5]])
-    ops = orthogonal_polynomials(jm)
-    assert np.allclose(ops.roots, [2.5])
+    # one entry carries both corrections: the single root is gamma + theta
+    roots, vecs = _jacobi_eigenpairs(1, 0.5, 2.0)
+    assert np.allclose(roots, [2.5])
+    assert np.array_equal(vecs, [[1.0]])
 
 
 # --- looped-path product -------------------------------------------------------------------
 
 def test_looped_path_m1_gamma0_degenerates_to_base():
     circ = upst_circulant(3, 0, 1, 1)
-    product = rooted_looped_path_product(circ.matrix, 1, 0.0)
+    product = rooted_looped_path_product(circ, 1, 0.0)
     assert np.max(np.abs(product.matrix.array - circ.matrix.array)) < 1e-12
-
-
-def test_looped_path_requires_circulant():
-    with pytest.raises(NotCirculant):
-        rooted_looped_path_product(np.diag([1.0, 2.0]), 2, 0.5)
 
 
 def test_looped_path_eigenpairs_and_quarrels():
     circ = upst_circulant(3, 0, 1, 1)
-    product = rooted_looped_path_product(circ.matrix, 2, math.pi,
-                                         thetas_exact=circ.thetas)
+    product = rooted_looped_path_product(circ, 2, math.pi)
     dec = spectral_decomposition(product.matrix)
     assert len(dec.eigenvalues) == 6  # all simple
     assert np.min(np.diff(dec.eigenvalues)) > 1e-8
@@ -286,19 +299,30 @@ def test_looped_path_eigenpairs_and_quarrels():
     for j, s, lam, vec in product.eigenpairs:
         assert np.max(np.abs(h @ vec - lam * vec)) <= 1e-8
     # quarrels 2 pi j (b-a)/3, independent of level and s
-    by_value = sorted(product.eigenpairs, key=lambda e: e[2])
     for level in (1, 2):
         q = strong_cospectrality(dec, product.vertex(0, level),
                                  product.vertex(1, level))
-        for (j, _, _, _), turn in zip(by_value, q.rationals):
+        for (j, _, _, _), turn in zip(product.eigenpairs, q.rationals):
             assert turn == Fraction(j, 3) % 1
 
 
-def test_looped_path_superlattice_requires_exact_thetas():
-    circ = upst_circulant(3, 0, 1, 1)
-    product = rooted_looped_path_product(circ.matrix, 2, math.pi)
-    with pytest.raises(ValueError):
-        product.relation_superlattice()
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
+    # relation_superlattice and quarrel_turns index the eigenpairs in their
+    # stored order, which must be the eigensolver's ascending order
+    product = rooted_looped_path_product(upst_circulant(n, 0, 1, 1), m,
+                                         math.pi)
+    values = [lam for _, _, lam, _ in product.eigenpairs]
+    assert values == sorted(values)
+    dec = spectral_decomposition(product.matrix)
+    assert dec.multiplicities == [1] * (n * m)
+    assert np.max(np.abs(dec.eigenvalues - values)) <= 1e-8
+    want = product.quarrel_turns(0, 1)
+    for level in range(1, m + 1):
+        q = strong_cospectrality(dec, product.vertex(0, level),
+                                 product.vertex(1, level))
+        assert q.turns == want
 
 
 # --- one-way families ------------------------------------------------------------------------
@@ -352,10 +376,12 @@ def test_build_family_names():
 def test_only_looped_path_carries_a_lattice():
     bundle = build_family("looped-path", m=2)
     circ = upst_circulant(3, 0, 1, 1)
-    product = rooted_looped_path_product(circ.matrix, 2, math.pi,
-                                         thetas_exact=circ.thetas)
+    product = rooted_looped_path_product(circ, 2, math.pi)
     want = product.relation_superlattice()
     assert (bundle.lattice.dim, bundle.lattice.generators) == (want.dim, want.generators)
+    # a rational loop weight voids the trace-condition argument
+    rational = build_family("looped-path", m=2, param=0.1)
+    assert rational.lattice is None and "is rational" in rational.notes
     for key, (required, _) in _FAMILY_PARAMETERS.items():
         if key != "looped_path":
             assert build_family(key, **{p: 3 for p in required}).lattice is None
