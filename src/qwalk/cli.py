@@ -13,7 +13,7 @@ import sys
 
 from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
                            build_family_spec)
-from .linalg import HermitianMatrix, spectral_decomposition
+from .linalg import DEFAULT_CLUSTER_TOL, HermitianMatrix, spectral_decomposition
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
                        fidelity_sweep, pgst_verdict, pst_verdict,
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, vertices=False, sweep=False):
         add_source(p)
-        p.add_argument("--tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
                        help="eigenvalue clustering tolerance")
         if vertices:
             p.add_argument("--from", dest="frm", type=int, required=True,

@@ -65,9 +65,6 @@ class HermitianMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self._arr, dtype=dtype, copy=copy)
 
-    def __getitem__(self, idx):
-        return self._arr[idx]
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
 
@@ -167,10 +164,6 @@ class SpectralDecomposition:
         """n x d matrix of ||E_r e_v|| = ||V_r^* e_v||, computed once."""
         return np.sqrt(np.add.reduceat(np.abs(self.vectors) ** 2,
                                        self.offsets[:-1], axis=1))
-
-    def support(self, vertex: int, tol: float) -> tuple[int, ...]:
-        """Indices r with ||E_r e_vertex|| above tol."""
-        return tuple(np.flatnonzero(self.support_norms[vertex] > tol).tolist())
 
     def matrix(self) -> np.ndarray:
         """V Lambda V^*, as conj(conj(V) Lambda V^T): one n x n temporary."""

@@ -75,36 +75,35 @@ PI = Transcendental("pi", math.pi)
 
 
 class Surd:
-    """Exact value rational + sum(coeff * sqrt(d)) + sum(coeff * symbol).
+    """Exact value sum(coeff * basis) over the basis 1, sqrt(d) for
+    square-free d > 1, and Transcendental symbols.
 
-    Radical keys are normalized square-free integers > 1, so structural
-    equality is exact equality ({1, sqrt(d1), sqrt(d2), ...} is Q-linearly
-    independent for distinct square-free di).  Immutable and hashable.
+    Held as one tuple of (basis, coefficient) terms with no zero
+    coefficient, ordered 1, radicals by d, symbols by name (the order
+    float() sums in).  The basis is Q-linearly independent (for symbols by
+    assumption), so structural equality is exact equality.  Immutable and
+    hashable.
     """
 
-    __slots__ = ("_rat", "_rad", "_sym")
+    __slots__ = ("_terms",)
 
     def __init__(self, rational: Rational = 0, radicals=None, symbols=None):
-        rat = Fraction(rational)
-        rad: dict[int, Fraction] = {}
+        terms: dict = {1: Fraction(rational)}
         for d, c in dict(radicals or {}).items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            s, k = square_free_part(int(d))
-            if s == 1:
-                rat += c * k
-            else:
-                rad[s] = rad.get(s, Fraction(0)) + c * k
-        sym: dict[Transcendental, Fraction] = {}
+            if c:
+                s, k = square_free_part(int(d))
+                terms[s] = terms.get(s, 0) + c * k
         for t, c in dict(symbols or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                sym[t] = sym.get(t, Fraction(0)) + c
-        self._rat = rat
-        self._rad = tuple(sorted((d, c) for d, c in rad.items() if c))
-        self._sym = tuple(sorted(((t, c) for t, c in sym.items() if c),
-                                 key=lambda p: p[0].name))
+            terms[t] = terms.get(t, 0) + Fraction(c)
+        self._terms = _sorted_terms(terms)
+
+    @classmethod
+    def _from_terms(cls, terms: tuple) -> "Surd":
+        """The Surd of terms already in canonical form."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def sqrt(cls, n: int, coeff: Rational = 1) -> "Surd":
@@ -117,48 +116,36 @@ class Surd:
 
     @property
     def radical_terms(self) -> dict[int, Fraction]:
-        return dict(self._rad)
+        return {b: c for b, c in self._terms
+                if not isinstance(b, Transcendental) and b != 1}
 
     @property
     def has_symbols(self) -> bool:
-        return bool(self._sym)
-
-    def coefficients(self) -> dict[tuple, Fraction]:
-        """Coefficient vector over the basis {1} | {sqrt(d)} | {symbols}."""
-        out: dict[tuple, Fraction] = {}
-        if self._rat:
-            out[("rat",)] = self._rat
-        for d, c in self._rad:
-            out[("rad", d)] = c
-        for t, c in self._sym:
-            out[("sym", t.name)] = c
-        return out
+        return bool(self._terms) and isinstance(self._terms[-1][0], Transcendental)
 
     def is_zero(self) -> bool:
-        return not self._rat and not self._rad and not self._sym
+        return not self._terms
 
     def __float__(self) -> float:
-        x = float(self._rat)
-        for d, c in self._rad:
-            x += float(c) * math.sqrt(d)
-        for t, c in self._sym:
-            x += float(c) * t.value
+        x = 0.0
+        for b, c in self._terms:
+            x += float(c) * (b.value if isinstance(b, Transcendental)
+                             else math.sqrt(b))
         return x
 
     def __add__(self, other) -> "Surd":
         other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        return Surd(self._rat + other._rat,
-                    _merge(self._rad, other._rad),
-                    _merge(self._sym, other._sym))
+        terms = dict(self._terms)
+        for b, c in other._terms:
+            terms[b] = terms.get(b, 0) + c
+        return Surd._from_terms(_sorted_terms(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Surd":
-        return Surd(-self._rat,
-                    {d: -c for d, c in self._rad},
-                    {t: -c for t, c in self._sym})
+        return Surd._from_terms(tuple((b, -c) for b, c in self._terms))
 
     def __sub__(self, other) -> "Surd":
         other = _as_surd(other)
@@ -172,9 +159,8 @@ class Surd:
     def __mul__(self, q) -> "Surd":
         if not isinstance(q, (int, Fraction)):
             return NotImplemented
-        return Surd(self._rat * q,
-                    {d: c * q for d, c in self._rad},
-                    {t: c * q for t, c in self._sym})
+        terms = tuple((b, c * q) for b, c in self._terms) if q else ()
+        return Surd._from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -187,11 +173,10 @@ class Surd:
         other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self._rat == other._rat and self._rad == other._rad
-                and self._sym == other._sym)
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._rat, self._rad, self._sym))
+        return hash(self._terms)
 
     def ratio(self, other: "Surd") -> Optional[Fraction]:
         """Return q with self == q * other, or None if no rational q exists.
@@ -202,22 +187,31 @@ class Surd:
             raise ZeroDivisionError("ratio against zero")
         if self.is_zero():
             return Fraction(0)
-        mine, theirs = self.coefficients(), other.coefficients()
-        if set(mine) != set(theirs):
+        mine, theirs = self._terms, other._terms
+        if [b for b, _ in mine] != [b for b, _ in theirs]:
             return None
-        key = next(iter(theirs))
-        q = mine[key] / theirs[key]
-        return q if all(mine[k] == q * theirs[k] for k in theirs) else None
+        q = mine[0][1] / theirs[0][1]
+        return q if all(c == q * d for (_, c), (_, d) in zip(mine, theirs)) else None
 
     def __repr__(self) -> str:
         parts = []
-        if self._rat or (not self._rad and not self._sym):
-            parts.append(str(self._rat))
-        for d, c in self._rad:
-            parts.append(f"{c}*sqrt({d})")
-        for t, c in self._sym:
-            parts.append(f"{c}*{t.name}")
-        return " + ".join(parts).replace("+ -", "- ")
+        for b, c in self._terms:
+            if isinstance(b, Transcendental):
+                parts.append(f"{c}*{b.name}")
+            else:
+                parts.append(str(c) if b == 1 else f"{c}*sqrt({b})")
+        return " + ".join(parts or ["0"]).replace("+ -", "- ")
+
+
+def _sorted_terms(terms: dict) -> tuple:
+    """The canonical term tuple of a basis -> coefficient map: zero
+    coefficients dropped, ordered 1, radicals by d, symbols by name."""
+    return tuple(sorted(((b, c) for b, c in terms.items() if c), key=_term_order))
+
+
+def _term_order(term: tuple) -> tuple:
+    b = term[0]
+    return (1, b.name) if isinstance(b, Transcendental) else (0, b)
 
 
 def _as_surd(x) -> Surd:
@@ -226,13 +220,6 @@ def _as_surd(x) -> Surd:
     if isinstance(x, (int, Fraction)):
         return Surd(x)
     return NotImplemented
-
-
-def _merge(a: Sequence[tuple], b: Sequence[tuple]) -> dict:
-    out = dict(a)
-    for k, c in b:
-        out[k] = out.get(k, Fraction(0)) + c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +319,6 @@ class RelationLattice:
                 v[j] -= q * row[j]
         return not any(v)
 
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
 
 def relation_lattice(values: Sequence[Surd]) -> RelationLattice:
     """Full integer relation lattice of a list of exact values.
@@ -348,9 +329,18 @@ def relation_lattice(values: Sequence[Surd]) -> RelationLattice:
     values = [_as_surd(v) for v in values]
     if not values:
         raise ValueError("need at least one value")
-    keys = sorted({k for v in values for k in v.coefficients()})
-    rows = [[v.coefficients().get(k, Fraction(0)) for v in values] for k in keys]
+    coeffs = [dict(v._terms) for v in values]
+    bases = sorted({b for c in coeffs for b in c}, key=_row_order)
+    rows = [[c.get(b, 0) for c in coeffs] for b in bases]
     return RelationLattice(integer_kernel(rows, len(values)), len(values))
+
+
+def _row_order(basis) -> tuple:
+    """relation_lattice's row order, which fixes its generators: radicals by
+    d, then the rational basis 1, then symbols by name."""
+    if isinstance(basis, Transcendental):
+        return (2, basis.name)
+    return (basis == 1, basis)
 
 
 def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):

@@ -30,6 +30,7 @@ REFINE_TOP = 5  # best grid points always refined by a sweep
 REFINE_ITERS = 60  # golden-section steps per refined peak
 PGST_SWEEP_T_MAX = 200.0  # sweep window of pgst_verdict's numeric fallback
 PGST_SWEEP_STEPS = 40_001
+CSV_BLOCK_ROWS = 2048  # sweep CSV rows formatted by one % operation
 QUARREL_MAX_DENOMINATOR = 128
 QUARREL_TOL = 1e-9  # radians between a phase and its recognized turn
 TWO_PI = 2 * math.pi
@@ -56,7 +57,7 @@ def eigenvalue_support(dec: SpectralDecomposition, vertex: int) -> tuple[int, ..
     """Indices r with ||E_r e_vertex|| above SUPPORT_TOL."""
     if not 0 <= vertex < dec.dim:
         raise IndexError(f"vertex {vertex} out of range for dim {dec.dim}")
-    return dec.support(vertex, SUPPORT_TOL)
+    return tuple(np.flatnonzero(dec.support_norms[vertex] > SUPPORT_TOL).tolist())
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,6 @@ def _recognize_turn(phase: float) -> Optional[Fraction]:
     turn = (phase / TWO_PI) % 1.0
     cand = Fraction(turn).limit_denominator(QUARREL_MAX_DENOMINATOR)
     err = abs(turn - float(cand)) * TWO_PI
-    err = min(err, abs(turn - float(cand) - 1.0) * TWO_PI,
-              abs(turn - float(cand) + 1.0) * TWO_PI)
     return cand % 1 if err <= QUARREL_TOL else None
 
 
@@ -358,8 +357,7 @@ def solve_phase_congruences(generators: Sequence[Sequence[int]],
 
 def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
                  turns: Sequence[Fraction],
-                 lattice: Optional[RelationLattice] = None,
-                 notes: str = "") -> TransferVerdict:
+                 lattice: Optional[RelationLattice] = None) -> TransferVerdict:
     """Kronecker-criterion check for pretty good state transfer.
 
     turns holds the quarrels as exact fractions of a full turn, aligned
@@ -381,13 +379,13 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
             "absent-certified",
             witness={"mode": "exact", "criterion": "kronecker", **witness,
                      "generators": lattice.generators},
-            notes=notes or "incompatible integer relations (Kronecker criterion)")
+            notes="incompatible integer relations (Kronecker criterion)")
     delta = TWO_PI * float(x)
     return TransferVerdict(
         "PGST-certified", phase=None, time=None,
         witness={"mode": "exact", "delta_turns": x, "delta": delta,
                  "generators": lattice.generators},
-        notes=notes or "Kronecker criterion satisfied on the relation lattice")
+        notes="Kronecker criterion satisfied on the relation lattice")
 
 
 def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
@@ -408,7 +406,8 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
     if turns is not None and (exact is not None or lattice is not None):
         values = None if exact is None else [exact[r] for r in quarrels.support]
         return certify_pgst(values, turns, lattice)
-    reason = ("no exact spectrum supplied" if exact is None and lattice is None
+    reason = ("no exact spectrum or relation lattice supplied"
+              if exact is None and lattice is None
               else f"quarrels of pair ({a}, {b}) are not all recognized "
                    "rational multiples of 2*pi")
     sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
@@ -431,9 +430,12 @@ class SweepResult:
     refined: list[tuple[float, float]]  # (t, fidelity) per refined peak
 
     def to_csv(self, fh) -> None:
+        """One "t,fidelity" row per grid point, each value in %.17g."""
         fh.write("t,fidelity\n")
-        for t, f in zip(self.times, self.fidelities):
-            fh.write(f"{t:.17g},{f:.17g}\n")
+        rows = np.column_stack((self.times, self.fidelities))
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def transfer_amplitude(dec: SpectralDecomposition, a: int, b: int):

@@ -206,12 +206,11 @@ def crit_looped_path_product() -> tuple[bool, str]:
                 if turns != want:
                     return False, (f"m={m}, level {level}: quarrel turns "
                                    f"{turns} != {want} for pair ({a}, {b})")
-        # every level pair (0, 1) has these quarrels, so one check covers all
+        # every level pair (0, 1) has these quarrels, so one check covers
+        # all; the superset lattice from the trace conditions assumes the
+        # loop weight is transcendental over the rational base spectrum
         verdict = certify_pgst(
-            None, product.quarrel_turns(0, 1), product.relation_superlattice(),
-            notes="superset lattice from the trace conditions; assumes "
-                  "the loop weight is transcendental over the rational "
-                  "base spectrum")
+            None, product.quarrel_turns(0, 1), product.relation_superlattice())
         if verdict.kind != "PGST-certified":
             return False, f"m={m}: {verdict.kind}"
         sweep = fidelity_sweep(dec, product.vertex(0, 1), product.vertex(1, 1),

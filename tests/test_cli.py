@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,7 +117,10 @@ def test_pgst_check_looped_path_rational_loop_weight_is_numeric(capsys, gamma):
     verdict = json.loads(out)
     assert verdict["kind"] == "numeric-evidence"
     assert verdict["witness"]["mode"] == "numeric"
-    assert "is rational" in verdict["notes"]
+    assert verdict["notes"] == (
+        "exact PGST check unavailable (no exact spectrum or relation lattice "
+        "supplied); sweep evidence only; loop weight gamma = "
+        f"{Fraction(gamma)} is rational: no exact PGST check")
 
 
 def test_pgst_check_star_product_exact_both_ways(capsys):

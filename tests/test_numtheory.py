@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import numtheory
-from qwalk.numtheory import (PROBE_TOL, DimensionTooLarge, Surd, Transcendental,
+from qwalk.constructions import one_way_family_4, one_way_family_8
+from qwalk.numtheory import (PI, PROBE_TOL, DimensionTooLarge, Surd, Transcendental,
                              charpoly_int, charpoly_mod2, float_relation_probe,
                              integer_kernel, poly_gcd,
                              relation_lattice, solve_congruences,
                              square_free_part)
+from qwalk.star import star_support_surds
 
 
 # --- square-free decomposition ---------------------------------------------
@@ -124,6 +126,102 @@ def test_surd_scaling_consistency(a, q):
 @given(surds(), surds())
 def test_surd_eq_iff_difference_zero(a, b):
     assert (a == b) == (a - b).is_zero()
+
+
+SYMBOLS = [PI, Transcendental("lambda", math.sqrt(2))]
+
+
+@st.composite
+def surd_parts(draw):
+    # the public constructor's arguments; radicands up to 40 include perfect
+    # squares and non-square-free values that normalize onto other keys
+    return (draw(rationals),
+            draw(st.dictionaries(st.integers(min_value=1, max_value=40),
+                                 rationals, max_size=3)),
+            draw(st.dictionaries(st.sampled_from(SYMBOLS), rationals, max_size=2)))
+
+
+def constructed(*weighted):
+    """Surd(...) of sum(w * Surd(*parts)) for (w, parts) pairs, combining
+    the constructor arguments before the one normalization."""
+    rat, rads, syms = Fraction(0), {}, {}
+    for w, (r, ds, ts) in weighted:
+        rat += w * r
+        for d, c in ds.items():
+            rads[d] = rads.get(d, 0) + w * c
+        for t, c in ts.items():
+            syms[t] = syms.get(t, 0) + w * c
+    return Surd(rat, rads, syms)
+
+
+@given(surd_parts(), surd_parts(), rationals)
+@settings(max_examples=150)
+def test_surd_arithmetic_is_canonical(x, y, q):
+    a, b = Surd(*x), Surd(*y)
+    for got, want in ((a + b, constructed((1, x), (1, y))),
+                      (a - b, constructed((1, x), (-1, y))),
+                      (a * q, constructed((q, x))),
+                      (-a, constructed((-1, x)))):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+
+STAR_SUPPORT_PINS = {
+    1: (["1", "-1", "1/2*sqrt(3) + 1/2*sqrt(7)", "1/2*sqrt(3) - 1/2*sqrt(7)",
+         "-1/2*sqrt(3) + 1/2*sqrt(7)", "-1/2*sqrt(3) - 1/2*sqrt(7)"],
+        [[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 1, -1, -1, 1]]),
+    3: (["1*sqrt(3)", "-1*sqrt(3)", "1/2*sqrt(3) + 1/2*sqrt(15)",
+         "1/2*sqrt(3) - 1/2*sqrt(15)", "-1/2*sqrt(3) + 1/2*sqrt(15)",
+         "-1/2*sqrt(3) - 1/2*sqrt(15)"],
+        [[1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 1, 1, 0],
+         [0, 0, 1, -1, -1, 1]]),
+    6: (["1*sqrt(6)", "-1*sqrt(6)", "2*sqrt(3)", "-1*sqrt(3)", "1*sqrt(3)",
+         "-2*sqrt(3)"],
+        [[1, 1, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0], [0, 0, 0, 1, 1, 0],
+         [0, 0, 0, 0, 2, 1]]),
+    12: (["2*sqrt(3)", "-2*sqrt(3)", "1/2*sqrt(3) + 1/2*sqrt(51)",
+          "1/2*sqrt(3) - 1/2*sqrt(51)", "-1/2*sqrt(3) + 1/2*sqrt(51)",
+          "-1/2*sqrt(3) - 1/2*sqrt(51)"],
+         [[1, 1, 0, 0, 0, 0], [0, 1, 2, 2, 0, 0], [0, 0, 0, 1, 1, 0],
+          [0, 0, 1, -1, -1, 1]]),
+    27: (["3*sqrt(3)", "-3*sqrt(3)", "1/2*sqrt(3) + 1/2*sqrt(111)",
+          "1/2*sqrt(3) - 1/2*sqrt(111)", "-1/2*sqrt(3) + 1/2*sqrt(111)",
+          "-1/2*sqrt(3) - 1/2*sqrt(111)"],
+         [[1, 1, 0, 0, 0, 0], [0, 1, 3, 3, 0, 0], [0, 0, 0, 1, 1, 0],
+          [0, 0, 1, -1, -1, 1]]),
+}
+
+
+@pytest.mark.parametrize("m", sorted(STAR_SUPPORT_PINS))
+def test_star_support_repr_and_generators_pinned(m):
+    # the generators depend on relation_lattice's row order (radicals by d,
+    # then the rational row, then symbols by name)
+    values = star_support_surds(m)[0]
+    reprs, generators = STAR_SUPPORT_PINS[m]
+    assert [repr(v) for v in values] == reprs
+    assert relation_lattice(values).generators == generators
+
+
+def test_relation_lattice_row_order_pinned():
+    # with the rational row first the generators would be
+    # [[0, 1, 1, 0], [1, -1, 0, 0]]
+    values = [Surd(1), Surd(1), Surd(-1), Surd.sqrt(2, 2)]
+    assert relation_lattice(values).generators == [[0, 1, 1, 0], [1, 0, 1, 0]]
+
+
+def test_one_way_spectra_repr_and_generators_pinned():
+    four = one_way_family_4(math.sqrt(2)).eigenvalues_exact
+    assert [repr(v) for v in four] == ["0", "1*pi", "1*lambda", "1*lambda + 1*pi"]
+    assert relation_lattice(four).generators == [[1, 0, 0, 0], [0, 1, 1, -1]]
+    eight = one_way_family_8(math.sqrt(2)).eigenvalues_exact
+    assert [repr(v) for v in eight] == [
+        "0", "1*pi", "1*theta", "1*pi + 1*theta", "1/2*pi", "3/2*pi",
+        "1/2*pi + 1*theta", "3/2*pi + 1*theta"]
+    assert relation_lattice(eight).generators == [
+        [1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 1, -1, 0, 0, 0, 0],
+        [0, 1, 0, 0, -2, 0, 0, 0], [0, 0, 0, 0, 3, -1, 0, 0],
+        [0, 0, 0, 1, -1, 0, -1, 0], [0, 0, 0, 0, 2, 0, 1, -1]]
 
 
 # --- relation lattices ------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction
@@ -10,8 +11,8 @@ from qwalk.constructions import (build_family, one_way_family_4, oriented_k3,
                                  upst_circulant)
 from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
 from qwalk.numtheory import PI, Surd, Transcendental, relation_lattice
-from qwalk.transfer import (NotProportional, SupportMismatch, certify_pgst,
-                            check_periodicity, eigenvalue_support,
+from qwalk.transfer import (CSV_BLOCK_ROWS, NotProportional, SupportMismatch,
+                            certify_pgst, check_periodicity, eigenvalue_support,
                             PEAK_TIE_TOL, fidelity_sweep, pgst_verdict,
                             pst_verdict, solve_phase_congruences,
                             solve_pst_congruences, strong_cospectrality)
@@ -431,8 +432,8 @@ def test_pgst_fallback_notes_name_the_reason():
     fam = one_way_family_4(math.sqrt(2))
     dec = spectral_decomposition(fam.matrix)
     assert pgst_verdict(dec, 0, 2).notes == (
-        "exact PGST check unavailable (no exact spectrum supplied); "
-        "sweep evidence only")
+        "exact PGST check unavailable (no exact spectrum or relation lattice "
+        "supplied); sweep evidence only")
     # the quarrels 0, pi, lambda, lambda + pi are not all rational turns
     verdict = pgst_verdict(dec, 2, 0, fam.eigenvalues_exact)
     assert verdict.kind == "numeric-evidence"
@@ -506,6 +507,19 @@ def test_sweep_argument_validation_and_csv(tmp_path):
     assert len(lines) == 12
     t0, f0 = lines[1].split(",")
     assert float(t0) == 0.0 and abs(float(f0)) < 1e-15
+
+
+def test_sweep_csv_matches_per_row_format():
+    # one full CSV block and a partial one; the first row is t = 0, and the
+    # small times and fidelities print in exponent form
+    dec = k3_dec()
+    sweep = fidelity_sweep(dec, 0, 1, 1e-3, CSV_BLOCK_ROWS + 452)
+    fh = io.StringIO()
+    sweep.to_csv(fh)
+    want = "t,fidelity\n" + "".join(
+        f"{t:.17g},{f:.17g}\n" for t, f in zip(sweep.times, sweep.fidelities))
+    assert fh.getvalue() == want
+    assert want.split("\n")[1].startswith("0,") and "e-07," in want
 
 
 def test_sweep_deterministic():
