@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 
 from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
                            build_family_spec)
@@ -261,18 +262,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _check_numbers(args)
-        return args.func(args)
-    except (FlagError, BadFamilyParameters) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    # one stderr line per warning, whatever filters the caller installed
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _warning_line
+        try:
+            _check_numbers(args)
+            return args.func(args)
+        except (FlagError, BadFamilyParameters) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except (ValueError, OSError, RuntimeError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

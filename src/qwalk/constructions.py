@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (HermitianMatrix, SpectralDecomposition,
-                     hermitian_from_entries, kron, spectral_decomposition)
+from .linalg import (DEFAULT_CLUSTER_TOL, HermitianMatrix,
+                     SpectralDecomposition, hermitian_from_entries, kron,
+                     spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 from .star import star_support_surds
@@ -237,29 +238,8 @@ def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Rooted looped-path product and its Jacobi spectra
+# Rooted looped-path product
 # ---------------------------------------------------------------------------
-
-def _jacobi_eigenpairs(m: int, gamma: float, theta: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the m x m tridiagonal matrix with unit off-diagonal,
-    loop weight gamma at the top corner and theta at the bottom corner.
-
-    Returns the ascending roots (eigvalsh) and the matrix whose column s is
-    (phi_0, ..., phi_{m-1}) at root s, from the three-term recurrence
-    phi_r = (t - d_r) phi_{r-1} - phi_{r-2}, phi_0 = 1, d the diagonal
-    (both corrections land on the single entry when m = 1)."""
-    jacobi = np.eye(m, k=1) + np.eye(m, k=-1)
-    jacobi[0, 0] += gamma
-    jacobi[-1, -1] += theta
-    roots = np.linalg.eigvalsh(jacobi)
-    vecs = np.ones((m, m))
-    for r in range(1, m):
-        vecs[r] = (roots - jacobi[r - 1, r - 1]) * vecs[r - 1]
-        if r > 1:
-            vecs[r] -= vecs[r - 2]
-    return roots, vecs
-
 
 @dataclass
 class LoopedPathProduct:
@@ -269,11 +249,9 @@ class LoopedPathProduct:
 
     matrix: HermitianMatrix
     n: int
-    m: int
     thetas: list[Fraction]  # base spectrum, ordered by Fourier index
-    # (j, s, lam, vec) sorted ascending by lam, the index order of a
-    # spectral decomposition of the (simple-spectrum) product matrix
-    eigenpairs: list[tuple[int, int, float, np.ndarray]]
+    spectrum: SpectralDecomposition  # closed form: simple, ascending
+    branches: list[int]  # Fourier index j of each eigenvalue, in that order
 
     def vertex(self, h: int, level: int) -> int:
         """Index of (x_h, level) with level counted 1..m as in the labels."""
@@ -286,23 +264,23 @@ class LoopedPathProduct:
         For transcendental gamma and rational base spectrum every true
         eigenvalue relation satisfies both, so this lattice contains the
         true one; a Kronecker check passing on it is conclusive."""
-        row_ones = [1] * len(self.eigenpairs)
-        row_theta = [self.thetas[j] for j, _, _, _ in self.eigenpairs]
-        gens = integer_kernel([row_ones, row_theta], len(self.eigenpairs))
-        return RelationLattice(gens, len(self.eigenpairs))
+        row_ones = [1] * len(self.branches)
+        row_theta = [self.thetas[j] for j in self.branches]
+        gens = integer_kernel([row_ones, row_theta], len(self.branches))
+        return RelationLattice(gens, len(self.branches))
 
     def quarrel_turns(self, a: int, b: int) -> list[Fraction]:
         """Exact quarrels q/(2*pi) for the level pair ((x_a,h),(x_b,h)) in
         eigenvalue-sorted order: 2*pi*j*(b-a)/n for branch j."""
-        return [Fraction(j * (b - a), self.n) % 1
-                for j, _, _, _ in self.eigenpairs]
+        return [Fraction(j * (b - a), self.n) % 1 for j in self.branches]
 
 
 def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
                                ) -> LoopedPathProduct:
     """Assemble the mn x mn product of a Hermitian circulant with a looped
-    path, together with the predicted eigenpairs (poly eigenvector) (x)
-    (Fourier vector), one Jacobi matrix per Fourier branch."""
+    path and its closed-form spectrum: every eigenvector of branch j's m x m
+    path matrix (loop gamma on top, theta_j at the root), tensored with
+    Fourier vector j, is an eigenvector of the product."""
     if m < 1:
         raise ValueError("m must be at least 1")
     n = circ.matrix.dim
@@ -310,17 +288,18 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     root_block[-1, -1] = 1.0
     path = np.eye(m, k=1) + np.eye(m, k=-1)
     path[0, 0] = gamma
-    h_z = kron(root_block, circ.matrix) + kron(path, np.eye(n))
-    fourier = dft_matrix(n)
-    eigenpairs = []
-    for j, theta in enumerate(circ.thetas):
-        roots, vecs = _jacobi_eigenpairs(m, gamma, float(theta))
-        for s in range(m):
-            vec = np.kron(vecs[:, s], fourier[:, j])
-            eigenpairs.append((j, s, float(roots[s]), vec))
-    eigenpairs.sort(key=lambda e: e[2])
-    return LoopedPathProduct(hermitian_from_entries(h_z), n, m,
-                             list(circ.thetas), eigenpairs)
+    h_z = hermitian_from_entries(kron(root_block, circ.matrix)
+                                 + kron(path, np.eye(n)))
+    thetas = np.array([float(theta) for theta in circ.thetas])
+    roots, vecs = np.linalg.eigh(path + thetas[:, None, None] * root_block)
+    branches, s = np.divmod(np.argsort(roots, axis=None, kind="stable"), m)
+    # column k: eigenvector s[k] of branch j = branches[k], (x) Fourier vector j
+    vectors = vecs[branches, :, s].T[:, None, :] * dft_matrix(n)[:, branches]
+    spectrum = SpectralDecomposition(roots[branches, s],
+                                     vectors.reshape(m * n, m * n),
+                                     [1] * (m * n), DEFAULT_CLUSTER_TOL)
+    return LoopedPathProduct(h_z, n, list(circ.thetas), spectrum,
+                             branches.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +382,19 @@ def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
     """Represent the family parameter exactly: as a rational multiple of pi
     when it evidently is one (degenerate case, reported), else as its own
     symbol under the recorded irrationality assumption."""
-    turn = Fraction(value / math.pi).limit_denominator(64)
-    if abs(value - float(turn) * math.pi) <= 1e-12:
+    turn = _evident_fraction(value, math.pi)
+    if turn is not None:
         return (Surd.symbol(PI, turn),
                 f"{tag.name} = {turn}*pi is rational in pi: "
                 "degenerate case, transcendence assumption violated")
     return (Surd.symbol(tag),
             f"assumes {tag.name} = {value!r} is not a rational multiple of pi")
+
+
+def _evident_fraction(value: float, unit: float) -> Optional[Fraction]:
+    """value/unit if a fraction of denominator <= 64 gives it to 1e-12."""
+    ratio = Fraction(value / unit).limit_denominator(64)
+    return ratio if abs(value - float(ratio) * unit) <= 1e-12 else None
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +495,8 @@ def _build_family(key: str, params: dict) -> FamilyBundle:
         circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
                               int(params.get("h", 1)), params.get("c"))
         product = rooted_looped_path_product(circ, m, gamma)
-        ratio = Fraction(gamma).limit_denominator(64)
-        if abs(gamma - float(ratio)) <= 1e-12:
+        ratio = _evident_fraction(gamma, 1.0)
+        if ratio is not None:
             # a rational loop weight breaks the trace-condition argument
             # behind relation_superlattice: no exact check applies
             return FamilyBundle(key, product.matrix,

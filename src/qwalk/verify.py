@@ -20,7 +20,9 @@ from .constructions import (OrientedGraph, SIGNED_SHIFT_4, build_family,
                             oriented_hypercube, oriented_to_hermitian,
                             rooted_looped_path_product, rooted_star_product,
                             rooted_star_spectrum, upst_circulant)
-from .linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
+from .linalg import (EigensolverFailure, SpectralDecomposition,
+                     hermitian_from_entries, spectral_decomposition,
+                     transition_matrix)
 from .numtheory import Surd, float_relation_probe, relation_lattice
 from .star import classify_star_m, star_support_surds
 from .transfer import (align_exact_spectrum, certify_pgst, check_periodicity,
@@ -60,11 +62,11 @@ def crit_c4_tensor_family() -> tuple[bool, str]:
         if shift_err > 1e-9:
             return False, f"{name}: exp(-i pi/4 H) off by {shift_err:.3e}"
         worst = 1.0
-        for h in range(n):
-            src = 4 * h
-            for t, tgt in ((math.pi / 4, src + 3), (math.pi / 2, src + 2),
-                           (3 * math.pi / 4, src + 1)):
-                worst = min(worst, abs(transition_matrix(dec, t)[tgt, src]))
+        for t, offset in ((math.pi / 4, 3), (math.pi / 2, 2),
+                          (3 * math.pi / 4, 1)):
+            u = transition_matrix(dec, t)
+            for h in range(n):
+                worst = min(worst, abs(u[4 * h + offset, 4 * h]))
         if worst < 1 - 1e-8:
             return False, f"{name}: block fidelity dropped to {worst}"
         details.append(f"{name}: shift err {shift_err:.1e}, min fidelity {worst:.10f}")
@@ -142,26 +144,35 @@ def crit_exhaustive_classification() -> tuple[bool, str]:
                   "reproduced and all charpoly-ruled-out")
 
 
+def _check_closed_form(closed: SpectralDecomposition, h
+                       ) -> tuple[SpectralDecomposition, float]:
+    """Validate a closed form against h, then match its multiplicities and
+    eigenvalues (to 1e-8) with the eigensolver's, raising EigensolverFailure
+    if not; returns the eigensolver's decomposition and the eigenvalue error."""
+    closed.validate(h)
+    dec = spectral_decomposition(h)
+    if dec.multiplicities != closed.multiplicities:
+        raise EigensolverFailure(
+            f"multiplicities {closed.multiplicities} != {dec.multiplicities}")
+    err = float(np.max(np.abs(dec.eigenvalues - closed.eigenvalues)))
+    if err > 1e-8:
+        raise EigensolverFailure(f"eigenvalues differ by {err:.2e}")
+    return dec, err
+
+
 def crit_star_product_spectra() -> tuple[bool, str]:
-    """The closed-form star-product decomposition validates against the
-    product matrix (orthonormal to 1e-9, separated clusters, reconstruction
-    to 1e-8) and matches the eigensolver's eigenvalues and multiplicities
+    """The closed-form star-product decomposition passes _check_closed_form
     for m in {1, 2, 3, 6, 27}."""
     h_x = oriented_to_hermitian(oriented_k3())
     worst_spec, worst_rec = 0.0, 0.0
     for m in (1, 2, 3, 6, 27):
         h_y = rooted_star_product(h_x, m)
         closed = rooted_star_spectrum(h_x, m)
-        closed.validate(h_y)
-        dec = spectral_decomposition(h_y)
-        if dec.multiplicities != closed.multiplicities:
-            return False, f"m={m}: multiplicity mismatch"
-        worst_spec = max(worst_spec, float(np.max(np.abs(
-            dec.eigenvalues - closed.eigenvalues))))
+        _, err = _check_closed_form(closed, h_y)
+        worst_spec = max(worst_spec, err)
         worst_rec = max(worst_rec, float(np.max(np.abs(
             closed.matrix() - h_y.array))))
-    ok = worst_spec <= 1e-8 and worst_rec <= 1e-8
-    return ok, f"max spectrum error {worst_spec:.2e}, max reconstruction error {worst_rec:.2e}"
+    return True, f"max spectrum error {worst_spec:.2e}, max reconstruction error {worst_rec:.2e}"
 
 
 def crit_star_classification() -> tuple[bool, str]:
@@ -182,22 +193,14 @@ def crit_star_classification() -> tuple[bool, str]:
 
 def crit_looped_path_product() -> tuple[bool, str]:
     """Looped-path products over the rational universal-transfer circulant:
-    simple spectra, predicted eigenpairs, exact quarrels, certified multiple
-    transfer, and sweep corroboration."""
+    the closed-form spectrum passes _check_closed_form (so it is simple, as
+    the eigensolver finds), the exact quarrels match the measured ones at
+    every level, multiple transfer is certified, and sweeps corroborate."""
     circ = upst_circulant(3, 0, 1, 1)
     details = []
     for m in (2, 3):
         product = rooted_looped_path_product(circ, m, math.pi)
-        dec = spectral_decomposition(product.matrix)
-        if len(dec.eigenvalues) != 3 * m:
-            return False, f"m={m}: spectrum not simple"
-        if float(np.min(np.diff(dec.eigenvalues))) <= 1e-8:
-            return False, f"m={m}: eigenvalue gap at clustering tolerance"
-        h = product.matrix.array
-        for j, s, lam, vec in product.eigenpairs:
-            residual = float(np.max(np.abs(h @ vec - lam * vec)))
-            if residual > 1e-8:
-                return False, f"m={m}: eigenpair ({j},{s}) residual {residual:.2e}"
+        dec, _ = _check_closed_form(product.spectrum, product.matrix)
         for level in range(1, m + 1):
             for (a, b) in ((0, 1), (1, 2), (0, 2)):
                 turns = strong_cospectrality(dec, product.vertex(a, level),

@@ -146,6 +146,19 @@ def test_missing_input_is_analysis_failure(capsys):
     assert "error:" in err
 
 
+def test_warnings_are_one_stderr_line_each(capsys):
+    # under pytest's error filter a warning would otherwise raise; a second
+    # call in the same process shows it again
+    argv = ("pst-check", "--family", "star-product", "--m", "1",
+            "--from", "0", "--to", "1", "--tol", "0.5")
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["kind"] == "absent-certified"
+        assert err == ("warning: 5 eigenvalue gap(s) within 10x cluster_tol; "
+                       "clustering may be ambiguous\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"dim": 2}', 'matrix JSON must be an object with "dim", "re" and "im" keys'),
     ('[[0, 1], [1, 0]]', 'matrix JSON must be an object with "dim", "re" and "im" keys'),

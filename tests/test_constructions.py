@@ -6,7 +6,7 @@ import pytest
 
 from qwalk.constructions import (_FAMILY_PARAMETERS, NonCoprime,
                                  OrientedGraph, SIGNED_SHIFT_4,
-                                 SpectrumNotOddInteger, _jacobi_eigenpairs,
+                                 SpectrumNotOddInteger,
                                  build_family, build_family_spec, c4_matrix,
                                  c4_tensor_construction, dft_matrix,
                                  one_way_family_4, one_way_family_8,
@@ -231,56 +231,6 @@ def test_star_product_base_major_permutation_equivalent():
     assert np.max(np.abs(copy_major - alt)) < 1e-12
 
 
-# --- Jacobi matrices and orthogonal polynomials -------------------------------------------
-
-def jacobi_array(m, gamma, theta):
-    t = np.zeros((m, m))
-    for i in range(m - 1):
-        t[i, i + 1] = t[i + 1, i] = 1.0
-    t[0, 0] += gamma
-    t[-1, -1] += theta
-    return t
-
-
-def test_orthogonal_polynomial_m2_closed_form():
-    # gamma = pi, theta = 0: the roots solve t^2 - pi t - 1 = 0 and the
-    # eigenvector at root lam is (phi_0, phi_1) = (1, lam - gamma)
-    roots, vecs = _jacobi_eigenpairs(2, math.pi, 0.0)
-    for s, lam in enumerate(roots):
-        assert abs(lam * lam - math.pi * lam - 1) <= 1e-12
-        assert np.allclose(vecs[:, s], [1.0, lam - math.pi], atol=1e-12)
-    assert roots[0] < roots[1]
-
-
-def test_orthogonal_polynomials_match_charpoly_determinant_oracle():
-    # phi_r is the characteristic polynomial of the leading r x r block,
-    # and phi_5 vanishes at every root
-    t = jacobi_array(5, 0.7, -1.3)
-    roots, vecs = _jacobi_eigenpairs(5, 0.7, -1.3)
-    for s, lam in enumerate(roots):
-        shifted = lam * np.eye(5) - t
-        assert abs(np.linalg.det(shifted)) <= 1e-8
-        for r in range(1, 5):
-            det = np.linalg.det(shifted[:r, :r])
-            assert abs(det - vecs[r, s]) < 1e-8 * max(1.0, abs(det))
-
-
-def test_orthogonal_polynomial_eigenvectors():
-    t = jacobi_array(4, math.pi, 2.0)
-    roots, vecs = _jacobi_eigenpairs(4, math.pi, 2.0)
-    for s in range(4):
-        vec = vecs[:, s]
-        residual = np.max(np.abs(t @ vec - roots[s] * vec))
-        assert residual <= 1e-8 * max(1.0, np.linalg.norm(vec))
-
-
-def test_jacobi_m1_degenerate():
-    # one entry carries both corrections: the single root is gamma + theta
-    roots, vecs = _jacobi_eigenpairs(1, 0.5, 2.0)
-    assert np.allclose(roots, [2.5])
-    assert np.array_equal(vecs, [[1.0]])
-
-
 # --- looped-path product -------------------------------------------------------------------
 
 def test_looped_path_m1_gamma0_degenerates_to_base():
@@ -296,28 +246,28 @@ def test_looped_path_eigenpairs_and_quarrels():
     assert len(dec.eigenvalues) == 6  # all simple
     assert np.min(np.diff(dec.eigenvalues)) > 1e-8
     h = product.matrix.array
-    for j, s, lam, vec in product.eigenpairs:
+    closed = product.spectrum
+    for lam, vec in zip(closed.eigenvalues, closed.vectors.T):
         assert np.max(np.abs(h @ vec - lam * vec)) <= 1e-8
     # quarrels 2 pi j (b-a)/3, independent of level and s
     for level in (1, 2):
         q = strong_cospectrality(dec, product.vertex(0, level),
                                  product.vertex(1, level))
-        for (j, _, _, _), turn in zip(product.eigenpairs, q.rationals):
+        for j, turn in zip(product.branches, q.rationals):
             assert turn == Fraction(j, 3) % 1
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
-    # relation_superlattice and quarrel_turns index the eigenpairs in their
-    # stored order, which must be the eigensolver's ascending order
+    # relation_superlattice and quarrel_turns index the closed-form spectrum
+    # in its stored order, which must be the eigensolver's ascending order
     product = rooted_looped_path_product(upst_circulant(n, 0, 1, 1), m,
                                          math.pi)
-    values = [lam for _, _, lam, _ in product.eigenpairs]
-    assert values == sorted(values)
+    product.spectrum.validate(product.matrix)
     dec = spectral_decomposition(product.matrix)
-    assert dec.multiplicities == [1] * (n * m)
-    assert np.max(np.abs(dec.eigenvalues - values)) <= 1e-8
+    assert dec.multiplicities == product.spectrum.multiplicities
+    assert np.max(np.abs(dec.eigenvalues - product.spectrum.eigenvalues)) <= 1e-8
     want = product.quarrel_turns(0, 1)
     for level in range(1, m + 1):
         q = strong_cospectrality(dec, product.vertex(0, level),
