@@ -12,8 +12,8 @@ import math
 import sys
 import warnings
 
-from .constructions import (BadFamilyParameters, FamilyBundle, build_family,
-                           build_family_spec)
+from .constructions import (FAMILIES, BadFamilyParameters, FamilyBundle,
+                           build_family, build_family_spec)
 from .linalg import DEFAULT_CLUSTER_TOL, HermitianMatrix, spectral_decomposition
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
@@ -26,6 +26,13 @@ class FlagError(Exception):
     """A flag value the command cannot use; reported as exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise FlagError, not SystemExit."""
+
+    def error(self, message):
+        raise FlagError(message)
+
+
 def _refuse_beside(args, flag: str, keys) -> None:
     for key in keys:
         if getattr(args, key, None) is not None:
@@ -35,7 +42,7 @@ def _refuse_beside(args, flag: str, keys) -> None:
 def _load_bundle(args) -> FamilyBundle:
     if getattr(args, "matrix", None):
         _refuse_beside(args, "matrix", ("family", "n", "m", "param"))
-        return FamilyBundle("matrix", HermitianMatrix.load(args.matrix))
+        return FamilyBundle(HermitianMatrix.load(args.matrix), name="matrix")
     if getattr(args, "family", None):
         params = {}
         for key in ("n", "m", "param"):
@@ -196,14 +203,15 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwalk",
         description="Quantum-walk state transfer on Hermitian and oriented "
                     "graphs: construction, certification, and search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument("--family", help="named family to construct")
+        p.add_argument("--family", help="named family to construct ('-' may replace "
+                                        f"'_'): {', '.join(FAMILIES)}")
         p.add_argument("--matrix", help="path to a matrix JSON file")
         p.add_argument("--n", type=int, help="family size parameter")
         p.add_argument("--m", type=int, help="family attachment parameter")
@@ -267,13 +275,12 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # one stderr line per warning, whatever filters the caller installed
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = _warning_line
         try:
+            args = build_parser().parse_args(argv)
             _check_numbers(args)
             return args.func(args)
         except (FlagError, BadFamilyParameters) as exc:

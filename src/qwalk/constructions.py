@@ -6,10 +6,11 @@ looped-path products, and the one-way-PST matrix families.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 from .star import star_support_surds
 
-TWO_PI = 2 * math.pi
 ODD_INTEGER_TOL = 1e-8  # c4_tensor_construction's base spectrum check
 
 
@@ -46,6 +46,19 @@ class AssemblyMismatch(RuntimeError):
 
 class NonHermitianResult(RuntimeError):
     pass
+
+
+@dataclass
+class FamilyBundle:
+    """A built family: matrix plus whatever exact data the family affords:
+    its eigenvalues as surds in any order, or a lattice holding every
+    integer relation among the ascending eigenvalues (a superset will do)."""
+
+    matrix: HermitianMatrix
+    exact_spectrum: Optional[list[Surd]] = None
+    notes: str = ""
+    lattice: Optional[RelationLattice] = None
+    name: str = ""  # the FAMILIES key build_family built it under
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +319,14 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
 # One-way perfect state transfer families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OneWayFamily:
-    matrix: HermitianMatrix
-    diagonalizer: np.ndarray
-    eigenvalues_exact: list[Surd]
-    notes: str
-
-
-def one_way_family_4(lam: float) -> OneWayFamily:
+def one_way_family_4(param: float = math.sqrt(2)) -> FamilyBundle:
     """4-vertex Hermitian graph with PST from vertex 2 to vertex 0 (0-based)
-    at time 1 and phase 1, periodic nowhere when lam is not in Q*pi.
+    at time 1 and phase 1, periodic nowhere when lam = param is not in Q*pi.
 
     The diagonalizer is normalized so the quarrels from vertex 2 to 0 are
     (0, pi, lam, lam+pi); built both as P D P* and from the closed-form
     entries, which must agree to 1e-10."""
+    lam = float(param)
     p = np.array([[1, 1, 1, 1],
                   [1, 1, -1, -1],
                   [1, -1, np.exp(-1j * lam), -np.exp(-1j * lam)],
@@ -344,12 +350,14 @@ def one_way_family_4(lam: float) -> OneWayFamily:
     lam_surd, notes = _parameter_surd(lam, tag)
     spectrum = [Surd(0), Surd.symbol(PI), lam_surd,
                 lam_surd + Surd.symbol(PI)]
-    return OneWayFamily(hermitian_from_entries(closed), p, spectrum, notes)
+    return FamilyBundle(hermitian_from_entries(closed), spectrum, notes)
 
 
-def one_way_family_8(theta: float) -> OneWayFamily:
-    """8-vertex one-way family from the complex-Hadamard diagonalization;
-    PST 0 -> 1 at t = 1, 0 -> 2 at t = 2, 0 -> 3 at t = 3 (0-based)."""
+def one_way_family_8(param: float = math.sqrt(2)) -> FamilyBundle:
+    """8-vertex one-way family from the complex-Hadamard diagonalization
+    with phase theta = param; PST 0 -> 1 at t = 1, 0 -> 2 at t = 2,
+    0 -> 3 at t = 3 (0-based)."""
+    theta = float(param)
     i = 1j
     e1, e2, e3 = np.exp(1j * theta), np.exp(2j * theta), np.exp(3j * theta)
     p = np.array([
@@ -375,7 +383,7 @@ def one_way_family_8(theta: float) -> OneWayFamily:
     half = Surd.symbol(PI, Fraction(1, 2))
     spectrum = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
                 half, half * 3, th + half, th + half * 3]
-    return OneWayFamily(hermitian_from_entries(h), p, spectrum, notes)
+    return FamilyBundle(hermitian_from_entries(h), spectrum, notes)
 
 
 def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
@@ -398,123 +406,84 @@ def _evident_fraction(value: float, unit: float) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# JSON family specs
+# The family table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FamilyBundle:
-    """A built family: matrix plus whatever exact data the family affords:
-    its eigenvalues as surds in any order, or a lattice holding every
-    integer relation among the ascending eigenvalues (a superset will do)."""
-
-    name: str
-    matrix: HermitianMatrix
-    exact_spectrum: Optional[list[Surd]] = None
-    notes: str = ""
-    lattice: Optional[RelationLattice] = None
+def _upst_circulant_family(n, alpha=0, beta=1, h=1, c=None) -> FamilyBundle:
+    circ = upst_circulant(int(n), alpha, beta, int(h), c)
+    return FamilyBundle(circ.matrix, [Surd(t) for t in circ.thetas])
 
 
-def build_family(name: str, **params) -> FamilyBundle:
-    """Construct a named family; names use underscores or hyphens freely.
-
-    Recognized: oriented_k2, oriented_k3, oriented_cycle(n),
-    hypercube(m), c4_tensor_k2, c4_tensor_cube(m), upst_circulant(n, alpha,
-    beta, h, c), star_product(m), looped_path(n, m, param, alpha, beta, h, c),
-    one_way_4(param), one_way_8(param).  An unknown name, a missing
-    required parameter, a parameter the family does not take, or one it
-    cannot be built from raises BadFamilyParameters."""
-    key = name.replace("-", "_").lower()
-    if key not in _FAMILY_PARAMETERS:
-        raise BadFamilyParameters(f"unknown family {name!r}")
-    required, optional = _FAMILY_PARAMETERS[key]
-    unexpected = sorted(set(params) - set(required) - set(optional))
-    if unexpected:
-        raise BadFamilyParameters(
-            f"family {name!r} does not take parameter {unexpected[0]}")
-    for parameter in required:
-        if parameter not in params:
-            raise BadFamilyParameters(f"family {name!r} needs parameter {parameter}")
-    try:
-        return _build_family(key, params)
-    except (TypeError, ValueError) as exc:
-        raise BadFamilyParameters(str(exc)) from exc
+def _star_product_family(m) -> FamilyBundle:
+    """The oriented triangle with an m-star at every vertex."""
+    m = int(m)
+    product = rooted_star_product(oriented_to_hermitian(oriented_k3()), m)
+    return FamilyBundle(product, star_support_surds(m)[0] + [Surd(0)])
 
 
-_CIRCULANT_PARAMETERS = ("alpha", "beta", "h", "c")
-# (required, optional) parameter names of each family
-_FAMILY_PARAMETERS = {
-    "oriented_k2": ((), ()),
-    "oriented_k3": ((), ()),
-    "oriented_cycle": (("n",), ()),
-    "hypercube": ((), ("m",)),
-    "c4_tensor_k2": ((), ()),
-    "c4_tensor_cube": ((), ("m",)),
-    "upst_circulant": (("n",), _CIRCULANT_PARAMETERS),
-    "star_product": (("m",), ()),
-    "looped_path": (("m",), ("n", "param") + _CIRCULANT_PARAMETERS),
-    "one_way_4": ((), ("param",)),
-    "one_way_8": ((), ("param",)),
+def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
+                        c=None) -> FamilyBundle:
+    """upst_circulant(n, alpha, beta, h, c) rooted with m-level looped
+    paths of loop weight gamma = param."""
+    n, m, gamma = int(n), int(m), float(param)
+    product = rooted_looped_path_product(
+        upst_circulant(n, alpha, beta, int(h), c), m, gamma)
+    ratio = _evident_fraction(gamma, 1.0)
+    if ratio is not None:
+        # a rational loop weight breaks the trace-condition argument
+        # behind relation_superlattice: no exact check applies
+        return FamilyBundle(product.matrix, notes=f"loop weight gamma = {ratio} "
+                                                  "is rational: no exact PGST check")
+    return FamilyBundle(product.matrix,
+                        notes=f"loop weight gamma = {gamma!r} assumed transcendental",
+                        lattice=product.relation_superlattice())
+
+
+# Each family's builder; its keyword parameters and their defaults are the
+# family's parameters.
+FAMILIES: dict[str, Callable[..., FamilyBundle]] = {
+    "oriented_k2": lambda: FamilyBundle(
+        oriented_to_hermitian(oriented_k2()), [Surd(-1), Surd(1)]),
+    "oriented_k3": lambda: FamilyBundle(
+        oriented_to_hermitian(oriented_k3()),
+        [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]),
+    "oriented_cycle": lambda n: FamilyBundle(
+        oriented_to_hermitian(oriented_cycle(int(n)))),
+    "hypercube": lambda m=0: FamilyBundle(
+        oriented_to_hermitian(oriented_hypercube(int(m)))),
+    "c4_tensor_k2": lambda: FamilyBundle(
+        c4_tensor_construction(oriented_to_hermitian(oriented_k2()))),
+    "c4_tensor_cube": lambda m=1: FamilyBundle(
+        c4_tensor_construction(oriented_to_hermitian(oriented_hypercube(int(m))))),
+    "upst_circulant": _upst_circulant_family,
+    "star_product": _star_product_family,
+    "looped_path": _looped_path_family,
+    "one_way_4": one_way_family_4,
+    "one_way_8": one_way_family_8,
 }
 
 
-def _build_family(key: str, params: dict) -> FamilyBundle:
-    if key == "oriented_k2":
-        return FamilyBundle(key, oriented_to_hermitian(oriented_k2()),
-                            [Surd(-1), Surd(1)])
-    if key == "oriented_k3":
-        return FamilyBundle(key, oriented_to_hermitian(oriented_k3()),
-                            [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)])
-    if key == "oriented_cycle":
-        n = int(params["n"])
-        return FamilyBundle(key, oriented_to_hermitian(oriented_cycle(n)))
-    if key == "hypercube":
-        m = int(params.get("m", 0))
-        return FamilyBundle(key, oriented_to_hermitian(oriented_hypercube(m)))
-    if key == "c4_tensor_k2":
-        base = oriented_to_hermitian(oriented_k2())
-        return FamilyBundle(key, c4_tensor_construction(base))
-    if key == "c4_tensor_cube":
-        m = int(params.get("m", 1))
-        base = oriented_to_hermitian(oriented_hypercube(m))
-        return FamilyBundle(key, c4_tensor_construction(base))
-    if key == "upst_circulant":
-        n = int(params["n"])
-        circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
-                              int(params.get("h", 1)), params.get("c"))
-        return FamilyBundle(key, circ.matrix, [Surd(t) for t in circ.thetas])
-    if key == "star_product":
-        m = int(params["m"])
-        base = oriented_to_hermitian(oriented_k3())
-        product = rooted_star_product(base, m)
-        exact = star_support_surds(m)[0] + [Surd(0)]
-        return FamilyBundle(key, product, exact)
-    if key == "looped_path":
-        n = int(params.get("n", 3))
-        m = int(params["m"])
-        gamma = float(params.get("param", math.pi))
-        circ = upst_circulant(n, params.get("alpha", 0), params.get("beta", 1),
-                              int(params.get("h", 1)), params.get("c"))
-        product = rooted_looped_path_product(circ, m, gamma)
-        ratio = _evident_fraction(gamma, 1.0)
-        if ratio is not None:
-            # a rational loop weight breaks the trace-condition argument
-            # behind relation_superlattice: no exact check applies
-            return FamilyBundle(key, product.matrix,
-                                notes=f"loop weight gamma = {ratio} is "
-                                      "rational: no exact PGST check")
-        return FamilyBundle(key, product.matrix,
-                            notes=f"loop weight gamma = {gamma!r} assumed "
-                                  "transcendental",
-                            lattice=product.relation_superlattice())
-    if key == "one_way_4":
-        lam = float(params.get("param", math.sqrt(2)))
-        fam = one_way_family_4(lam)
-        return FamilyBundle(key, fam.matrix, fam.eigenvalues_exact, fam.notes)
-    if key == "one_way_8":
-        theta = float(params.get("param", math.sqrt(2)))
-        fam = one_way_family_8(theta)
-        return FamilyBundle(key, fam.matrix, fam.eigenvalues_exact, fam.notes)
-    raise AssertionError(f"_FAMILY_PARAMETERS lists {key!r} but no builder")
+def build_family(name: str, **params) -> FamilyBundle:
+    """Build the FAMILIES entry name (underscores or hyphens alike) from
+    params.  An unknown name, a missing required parameter, a parameter the
+    family does not take, or one it cannot be built from raises
+    BadFamilyParameters."""
+    key = name.replace("-", "_").lower()
+    if key not in FAMILIES:
+        raise BadFamilyParameters(f"unknown family {name!r}")
+    signature = inspect.signature(FAMILIES[key]).parameters
+    unexpected = sorted(set(params) - set(signature))
+    if unexpected:
+        raise BadFamilyParameters(
+            f"family {name!r} does not take parameter {unexpected[0]}")
+    for parameter in signature.values():
+        if parameter.default is parameter.empty and parameter.name not in params:
+            raise BadFamilyParameters(
+                f"family {name!r} needs parameter {parameter.name}")
+    try:
+        return replace(FAMILIES[key](**params), name=key)
+    except (TypeError, ValueError) as exc:
+        raise BadFamilyParameters(str(exc)) from exc
 
 
 def build_family_spec(spec: dict) -> FamilyBundle:

@@ -213,7 +213,7 @@ def spectrum_candidates(n: int, k: int) -> list[tuple[int, ...]]:
     with_zero = n % 2 == 1
     target = n * k
     out = []
-    for combo in _increasing_tuples(p, 1 if with_zero else 1, n):
+    for combo in _increasing_tuples(p, 1, n):
         if 2 * sum(t * t for t in combo) != target:
             continue
         spectrum = ((0,) if with_zero else ()) + combo

@@ -83,7 +83,7 @@ def crit_one_way_pst() -> tuple[bool, str]:
         return False, f"|U(1)[0,2]| = {abs(amp)}"
     if abs(amp - 1) > 1e-8:
         return False, f"phase off: U(1)[0,2] = {amp}"
-    periodic, witness = check_periodicity(fam.eigenvalues_exact)
+    periodic, witness = check_periodicity(fam.exact_spectrum)
     if periodic or witness is None:
         return False, "periodicity check did not fail as required"
     if "lambda" not in witness["numerator"] or "pi" not in witness["denominator"]:
@@ -106,7 +106,7 @@ def crit_eight_vertex_example() -> tuple[bool, str]:
         if f < 1 - 1e-8:
             return False, f"0->{tgt} at t={t}: fidelity {f}"
         fidelities.append(f)
-    exact = align_exact_spectrum(dec, fam.eigenvalues_exact)
+    exact = align_exact_spectrum(dec, fam.exact_spectrum)
     for v in range(8):
         support = eigenvalue_support(dec, v)
         if len(support) != 8:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
+from qwalk.constructions import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,18 @@ def test_pgst_check_looped_path(capsys):
     assert verdict["kind"] == "PGST-certified"
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pgst_check_looped_path_exact_up_to_m_7(capsys, m):
+    # from m = 8 the eigensolver merges loop-bound states of different
+    # Fourier branches (closed-form gaps 1.2e-7 at m = 8), see README
+    code, out, _ = run_cli(capsys, "pgst-check", "--family", "looped-path",
+                           "--n", "3", "--m", str(m), "--from", "0", "--to", "1")
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["kind"] == "PGST-certified"
+    assert verdict["witness"]["mode"] == "exact"
+
+
 @pytest.mark.parametrize("gamma", ["0", "2.5"])
 def test_pgst_check_looped_path_rational_loop_weight_is_numeric(capsys, gamma):
     # a rational loop weight breaks the trace-condition superlattice; at
@@ -134,10 +147,12 @@ def test_pgst_check_star_product_exact_both_ways(capsys):
     assert json.loads(out)["kind"] == "absent-certified"
 
 
-def test_flag_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["pst-check", "--family", "oriented-k3", "--from", "0"])
-    assert err.value.code == 2
+def test_flag_error_exit_code(capsys):
+    code, out, err = run_cli(capsys, "pst-check", "--family", "oriented-k3",
+                             "--from", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the following arguments are required: --to\n"
 
 
 def test_missing_input_is_analysis_failure(capsys):
@@ -180,10 +195,32 @@ def test_malformed_matrix_file_is_analysis_failure(tmp_path, capsys, text,
 
 
 def test_construct_takes_no_tol(capsys):
+    code, out, err = run_cli(capsys, "construct", "--family", "oriented-k3",
+                             "--tol", "1e-8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unrecognized arguments: --tol 1e-8\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pst-check", "--family", "oriented-k3", "--from", "x", "--to", "1"),
+    ("no-such-command",),
+    (),
+])
+def test_argparse_errors_are_one_line_flag_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_0_and_lists_every_family(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["construct", "--family", "oriented-k3", "--tol", "1e-8"])
-    assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+        main(["pst-check", "-h"])
+    assert err.value.code == 0
+    words = {word.strip(",") for word in capsys.readouterr().out.split()}
+    for name in FAMILIES:
+        assert name in words
 
 
 def test_unknown_family_is_flag_error(capsys):

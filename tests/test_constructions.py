@@ -1,10 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qwalk.constructions import (_FAMILY_PARAMETERS, NonCoprime,
+from qwalk.constructions import (FAMILIES, BadFamilyParameters, NonCoprime,
                                  OrientedGraph, SIGNED_SHIFT_4,
                                  SpectrumNotOddInteger,
                                  build_family, build_family_spec, c4_matrix,
@@ -279,20 +280,20 @@ def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
 
 def test_one_way_4_closed_form_assembly():
     fam = one_way_family_4(math.sqrt(2))
-    # unitary diagonalizer, exact transfer at t = 1
-    p = fam.diagonalizer
-    assert np.max(np.abs(p @ p.conj().T - np.eye(4))) < 1e-12
+    # the exact spectrum is the matrix's, exact transfer at t = 1
     dec = spectral_decomposition(fam.matrix)
+    exact = sorted(float(value) for value in fam.exact_spectrum)
+    assert np.max(np.abs(dec.eigenvalues - exact)) < 1e-12
     u = transition_matrix(dec, 1.0)
     assert abs(u[0, 2] - 1) <= 1e-10
-    periodic, witness = check_periodicity(fam.eigenvalues_exact)
+    periodic, witness = check_periodicity(fam.exact_spectrum)
     assert not periodic and "lambda" in witness["numerator"]
 
 
 def test_one_way_4_degenerate_parameter_reported():
     fam = one_way_family_4(math.pi)
     assert "degenerate" in fam.notes
-    periodic, _ = check_periodicity(fam.eigenvalues_exact)
+    periodic, _ = check_periodicity(fam.exact_spectrum)
     assert periodic
 
 
@@ -303,7 +304,7 @@ def test_one_way_8_transfer_chain():
         assert abs(transition_matrix(dec, t)[tgt, 0]) >= 1 - 1e-8
     for v in range(8):
         assert len(eigenvalue_support(dec, v)) == 8
-    periodic, _ = check_periodicity(fam.eigenvalues_exact)
+    periodic, _ = check_periodicity(fam.exact_spectrum)
     assert not periodic
 
 
@@ -318,9 +319,27 @@ def test_build_family_names():
     assert build_family("one_way_4").matrix.dim == 4
     with pytest.raises(ValueError):
         build_family("no-such-family")
-    # every listed family builds from its required parameters alone
-    for key, (required, _) in _FAMILY_PARAMETERS.items():
-        assert build_family(key, **{p: 3 for p in required}).name == key
+
+
+def _required_parameters(name):
+    return [p.name for p in inspect.signature(FAMILIES[name]).parameters.values()
+            if p.default is p.empty]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_checks_its_parameter_list(name):
+    required = _required_parameters(name)
+    bundle = build_family(name, **{p: 3 for p in required})
+    assert bundle.name == name
+    # only the looped-path family carries a relation lattice
+    assert (bundle.lattice is not None) == (name == "looped_path")
+    for missing in required:
+        params = {p: 3 for p in required if p != missing}
+        with pytest.raises(BadFamilyParameters) as err:
+            build_family(name, **params)
+        assert str(err.value) == f"family {name!r} needs parameter {missing}"
+    with pytest.raises(BadFamilyParameters, match="does not take parameter"):
+        build_family(name, **{p: 3 for p in required}, no_such_parameter=1)
 
 
 def test_only_looped_path_carries_a_lattice():
@@ -332,9 +351,6 @@ def test_only_looped_path_carries_a_lattice():
     # a rational loop weight voids the trace-condition argument
     rational = build_family("looped-path", m=2, param=0.1)
     assert rational.lattice is None and "is rational" in rational.notes
-    for key, (required, _) in _FAMILY_PARAMETERS.items():
-        if key != "looped_path":
-            assert build_family(key, **{p: 3 for p in required}).lattice is None
 
 
 def test_build_family_spec_json():

@@ -111,7 +111,7 @@ def test_certify_pst_k3_exact():
 def test_certify_pst_one_way_family():
     fam = one_way_family_4(math.sqrt(2))
     dec = spectral_decomposition(fam.matrix)
-    verdict = pst_verdict(dec, 2, 0, fam.eigenvalues_exact, t_max=50)
+    verdict = pst_verdict(dec, 2, 0, fam.exact_spectrum, t_max=50)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - 1.0) < 1e-6
     assert abs(verdict.phase - 1.0) < 1e-6
@@ -435,7 +435,7 @@ def test_pgst_fallback_notes_name_the_reason():
         "exact PGST check unavailable (no exact spectrum or relation lattice "
         "supplied); sweep evidence only")
     # the quarrels 0, pi, lambda, lambda + pi are not all rational turns
-    verdict = pgst_verdict(dec, 2, 0, fam.eigenvalues_exact)
+    verdict = pgst_verdict(dec, 2, 0, fam.exact_spectrum)
     assert verdict.kind == "numeric-evidence"
     assert verdict.notes == (
         "exact PGST check unavailable (quarrels of pair (2, 0) are not all "
