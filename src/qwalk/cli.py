@@ -42,11 +42,11 @@ def _refuse_beside(args, flag: str, keys) -> None:
 def _load_bundle(args) -> FamilyBundle:
     if getattr(args, "matrix", None):
         _refuse_beside(args, "matrix", ("family", "n", "m", "param"))
-        return FamilyBundle(HermitianMatrix.load(args.matrix), name="matrix")
+        return FamilyBundle(HermitianMatrix.load(args.matrix))
     if getattr(args, "family", None):
         params = {}
         for key in ("n", "m", "param"):
-            val = getattr(args, key.replace("-", "_"), None)
+            val = getattr(args, key, None)
             if val is not None:
                 params[key] = val
         return build_family(args.family, **params)

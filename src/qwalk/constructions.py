@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -58,7 +58,6 @@ class FamilyBundle:
     exact_spectrum: Optional[list[Surd]] = None
     notes: str = ""
     lattice: Optional[RelationLattice] = None
-    name: str = ""  # the FAMILIES key build_family built it under
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +480,7 @@ def build_family(name: str, **params) -> FamilyBundle:
             raise BadFamilyParameters(
                 f"family {name!r} needs parameter {parameter.name}")
     try:
-        return replace(FAMILIES[key](**params), name=key)
+        return FAMILIES[key](**params)
     except (TypeError, ValueError) as exc:
         raise BadFamilyParameters(str(exc)) from exc
 

@@ -6,6 +6,7 @@ the trace equation, and mod-2 characteristic polynomial rule-outs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -13,9 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .constructions import OrientedGraph
-from .numtheory import (Surd, charpoly_int, charpoly_mod2, poly_gcd,
-                        square_free_part)
-from .transfer import check_periodicity
+from .numtheory import charpoly_int, charpoly_mod2, poly_gcd, square_free_part
 
 
 @dataclass
@@ -48,26 +47,23 @@ def sigma_bound_filter(n: int, edges: Optional[int] = None) -> dict:
 
 @dataclass
 class NecessaryConditions:
-    simple: bool
-    flat: bool
-    periodic: bool
-    integer_grid: Optional[bool] = None  # theta_r in Z*sqrt(Delta)
-    delta: Optional[int] = None
+    failure: Optional[str] = None  # the first condition that fails
+    delta: Optional[int] = None  # theta_r = grid_coeffs[r] * sqrt(delta)
     grid_coeffs: Optional[tuple[int, ...]] = None
-    failure: Optional[str] = None
 
     @property
     def all_pass(self) -> bool:
-        return (self.simple and self.flat and self.periodic
-                and self.integer_grid is not False)
+        return self.failure is None
 
 
 def upst_necessary_conditions(graph: OrientedGraph) -> NecessaryConditions:
     """Checklist of necessary conditions for universal perfect state
     transfer on an oriented graph, each decided in integer arithmetic from
     the skew matrix S (H = iS): simple spectrum, flat eigenvectors
-    (|entry| = 1/sqrt(n)), eigenvalues in an integer sqrt(Delta) grid, and
-    periodicity of every vertex via the exact ratio condition.
+    (|entry| = 1/sqrt(n)), and eigenvalues in an integer sqrt(Delta) grid.
+    For an integer characteristic polynomial the grid is the periodicity
+    condition: with theta_r = z_r*sqrt(Delta) every ratio of eigenvalue
+    differences is rational, so every vertex is periodic.
 
     det(yI - S) has vanishing odd-offset coefficients c_1, c_3, ..., so
     det(xI - H) = sum_k (-1)^k c_2k x^(n-2k) = x^(n mod 2) q(x^2): the
@@ -82,8 +78,7 @@ def upst_necessary_conditions(graph: OrientedGraph) -> NecessaryConditions:
     # with q(0) != 0
     derivative = [(len(q) - 1 - i) * x for i, x in enumerate(q[:-1])]
     if q[-1] == 0 or len(poly_gcd(q, derivative)) > 1:
-        return NecessaryConditions(False, False, False,
-                                   failure="degenerate spectrum")
+        return NecessaryConditions("degenerate spectrum")
     # with a simple spectrum each E_r is a polynomial in H of degree < n, so
     # E_r[v, v] = 1/n for all v iff (S^k)[v, v] is the same at every vertex
     # for k < n (walk-regularity); odd powers of S have a zero diagonal, and
@@ -95,23 +90,15 @@ def upst_necessary_conditions(graph: OrientedGraph) -> NecessaryConditions:
                      for row in walks]
         norms = [sum(x * x for x in row) for row in walks]
         if norms.count(norms[0]) != n:
-            return NecessaryConditions(True, False, False,
-                                       failure="eigenvectors not flat")
+            return NecessaryConditions("eigenvectors not flat")
     # every theta^2 is at most (max degree)^2, the spectral radius bound
     bound = max((sum(map(abs, row)) for row in s), default=0) ** 2
     roots = [y for y in range(bound + 1) if _horner(q, y) == 0]
     grid = _sqrt_grid(roots, n) if len(roots) == len(q) - 1 else None
     if grid is None:
-        return NecessaryConditions(True, True, False, integer_grid=False,
-                                   failure="spectrum not in Z*sqrt(Delta)")
+        return NecessaryConditions("spectrum not in Z*sqrt(Delta)")
     delta, zs = grid
-    periodic, _ = check_periodicity([Surd.sqrt(delta, z) for z in zs])
-    if not periodic:
-        return NecessaryConditions(True, True, False, integer_grid=True,
-                                   delta=delta, grid_coeffs=zs,
-                                   failure="ratio condition fails")
-    return NecessaryConditions(True, True, True, integer_grid=True,
-                               delta=delta, grid_coeffs=zs)
+    return NecessaryConditions(delta=delta, grid_coeffs=zs)
 
 
 def _horner(coeffs: Sequence[int], y: int) -> int:
@@ -180,7 +167,7 @@ def exhaustive_rule_out(n: int) -> list[UPSTReport]:
             witness = {"orientation_mask": mask}
             if checks.failure:
                 witness["failed_condition"] = checks.failure
-            elif checks.delta is not None:
+            else:
                 witness["delta"] = checks.delta
                 witness["grid"] = list(checks.grid_coeffs)
             reports.append(UPSTReport(n, k, name, verdict, witness))
@@ -213,7 +200,7 @@ def spectrum_candidates(n: int, k: int) -> list[tuple[int, ...]]:
     with_zero = n % 2 == 1
     target = n * k
     out = []
-    for combo in _increasing_tuples(p, 1, n):
+    for combo in itertools.combinations(range(1, n + 1), p):
         if 2 * sum(t * t for t in combo) != target:
             continue
         spectrum = ((0,) if with_zero else ()) + combo
@@ -223,15 +210,6 @@ def spectrum_candidates(n: int, k: int) -> list[tuple[int, ...]]:
             continue
         out.append(spectrum)
     return out
-
-
-def _increasing_tuples(size: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _increasing_tuples(size - 1, first + 1, hi):
-            yield (first,) + rest
 
 
 def complement_c7_adjacency() -> list[list[int]]:
@@ -244,10 +222,12 @@ def complete_adjacency(n: int) -> list[list[int]]:
     return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
 
 
-_NAMED_ADJACENCY = {
-    "K7": lambda: complete_adjacency(7),
-    "K11": lambda: complete_adjacency(11),
-    "C7bar": complement_c7_adjacency,
+# The (n, k) rows whose trace equation has integral solutions, each with
+# its underlying graph's name and adjacency builder.
+_CHARPOLY_CASES = {
+    (11, 10): ("K11", lambda: complete_adjacency(11)),
+    (7, 6): ("K7", lambda: complete_adjacency(7)),
+    (7, 4): ("C7bar", complement_c7_adjacency),
 }
 
 
@@ -255,17 +235,15 @@ def charpoly_rule_out(underlying: str, spectrum: Sequence[int]) -> bool:
     """True when the mod-2 characteristic polynomial of the underlying graph
     differs from the one of the diagonal matrix of the candidate roots,
     ruling the case out."""
-    if underlying not in _NAMED_ADJACENCY:
+    builders = dict(_CHARPOLY_CASES.values())
+    if underlying not in builders:
         raise ValueError(f"unknown underlying graph {underlying!r}; "
-                         f"expected one of {sorted(_NAMED_ADJACENCY)}")
-    adjacency = _NAMED_ADJACENCY[underlying]()
+                         f"expected one of {sorted(builders)}")
+    adjacency = builders[underlying]()
     roots = sorted({*(int(t) for t in spectrum), *(-int(t) for t in spectrum)})
     diagonal = [[r if i == j else 0 for j in range(len(roots))]
                 for i, r in enumerate(roots)]
     return charpoly_mod2(adjacency) != charpoly_mod2(diagonal)
-
-
-_UNDERLYING_BY_NK = {(11, 10): "K11", (7, 6): "K7", (7, 4): "C7bar"}
 
 
 def classify_large(n: int) -> list[UPSTReport]:
@@ -279,9 +257,9 @@ def classify_large(n: int) -> list[UPSTReport]:
                                       {"reason": "trace equation has no "
                                        "integral solution"}))
             continue
-        name = _UNDERLYING_BY_NK.get((n, k), "unknown")
+        name, _ = _CHARPOLY_CASES[(n, k)]
         for spectrum in candidates:
-            ruled = name != "unknown" and charpoly_rule_out(name, spectrum)
+            ruled = charpoly_rule_out(name, spectrum)
             verdict = "ruled-out-charpoly" if ruled else "survives"
             reports.append(UPSTReport(n, k, name, verdict,
                                       {"spectrum": list(spectrum)}))

@@ -28,8 +28,7 @@ from .star import classify_star_m, star_support_surds
 from .transfer import (align_exact_spectrum, certify_pgst, check_periodicity,
                        eigenvalue_support, fidelity_sweep, pst_verdict,
                        strong_cospectrality)
-from .upst_search import (charpoly_rule_out, exhaustive_rule_out, nk_table,
-                          spectrum_candidates)
+from .upst_search import classify_all
 
 def crit_oriented_k3_universal_pst() -> tuple[bool, str]:
     """Every ordered pair of the oriented triangle gets certified PST."""
@@ -119,27 +118,25 @@ def crit_eight_vertex_example() -> tuple[bool, str]:
 
 
 def crit_exhaustive_classification() -> tuple[bool, str]:
-    """n=4,5 orientation enumeration has no survivors; the trace equation
-    leaves exactly three (n,k) rows; mod-2 charpolys kill all three."""
-    r4 = exhaustive_rule_out(4)
-    r5 = exhaustive_rule_out(5)
-    if len(r4) != 80 or any(r.verdict == "survives" for r in r4):
-        return False, f"n=4: {len(r4)} reports, survivors present"
-    if len(r5) != 1056 or any(r.verdict == "survives" for r in r5):
-        return False, f"n=5: {len(r5)} reports, survivors present"
-    rows = {}
-    for n, ks in nk_table().items():
-        for k in ks:
-            for spec in spectrum_candidates(n, k):
-                rows[(n, k)] = spec
+    """classify_all, as search-upst prints it: the n=4,5 orientation
+    enumeration has no survivors; the trace equation leaves exactly three
+    (n,k) rows for 6 <= n <= 11; mod-2 charpolys kill all three."""
+    reports = {n: classify_all(n) for n in range(4, 12)}
+    for n, count in ((4, 80), (5, 1056)):
+        if len(reports[n]) != count or any(r.verdict == "survives"
+                                           for r in reports[n]):
+            return False, f"n={n}: {len(reports[n])} reports, survivors present"
+    charpoly = [r for n in range(6, 12) for r in reports[n]
+                if r.verdict != "ruled-out-spectrum"]
+    rows = {(r.n, r.k): tuple(r.witness["spectrum"]) for r in charpoly}
     expected = {(11, 10): (0, 1, 2, 3, 4, 5),
                 (7, 6): (0, 1, 2, 4),
                 (7, 4): (0, 1, 2, 3)}
-    if rows != expected:
+    if rows != expected or len(charpoly) != len(expected):
         return False, f"trace-equation rows {rows} != {expected}"
-    for (n, k), name in (((11, 10), "K11"), ((7, 6), "K7"), ((7, 4), "C7bar")):
-        if not charpoly_rule_out(name, rows[(n, k)]):
-            return False, f"{name} not ruled out"
+    for r in charpoly:
+        if r.verdict != "ruled-out-charpoly":
+            return False, f"{r.underlying} not ruled out"
     return True, ("80 + 1056 orientations, zero survivors; three table rows "
                   "reproduced and all charpoly-ruled-out")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -53,6 +54,45 @@ def test_search_upst_n4(capsys):
     assert len(reports) == 80
     assert all(r["verdict"] != "survives" for r in reports)
     assert "0 survivor(s)" in err
+
+
+# sha256 of search-upst's stdout and stderr for each n, pinned so that a
+# change to the classification pipeline cannot change what it prints
+SEARCH_UPST_SHA256 = {
+    2: ("2b19f06c59a36f2a0d12fe5336532be07c5517ce1f46670b550fffe3528be72b",
+        "9ea9d9d0b7f78c12a9dd947d51829c498840002508169f27d10d6fcfc0ed98f3"),
+    3: ("25f5cf45369b9aadaad06643ce13520d1a88db7c51aeb0c809a10140b0cf0a0e",
+        "4aca95d2dca331270245fdfe293195e853ac8ac2989ea7d1d38ede15ce68a635"),
+    4: ("2b652b439ae3f8c03e810b07edd6c404b8f8650924adfe84f1fe9952d7ccfd7d",
+        "1870629197b04c5d8a8575a8515d088148036f933f59c374635badd1d016ec07"),
+    5: ("23470edd0a7a860580abe96125c883af928cf3336ef6ec5e37de03901693d0dc",
+        "c84ca2701b05f2fa44947e63a077f8437a54a7bd48dc5b07d61b839c111bdc84"),
+    6: ("1ffd92624d5046b0d119fadac8421f1a47fe000c0d4bc0a498b36651cc6b9051",
+        "cf632156d1eedd6780b750788dab6f218abce79f69fde2fb1522b25847530466"),
+    7: ("ca65f56d92d5906c42a2e4d90fd81685358d1e3dd4a1fec70a6e624b06b4e745",
+        "fbb6f7982297d5ee581772a7dc1713c94424b4453be483b6f7f4799ab7d26630"),
+    8: ("ee5ac1ce2afb606c6937e9dc9e4c8fd9fe543ba4f67abbc5d1b4dc62ab1b9e3e",
+        "fbb6f7982297d5ee581772a7dc1713c94424b4453be483b6f7f4799ab7d26630"),
+    9: ("608311490510b096e2297fe6ae4b728f9167e8d9b9303cda22f7128c23cebf48",
+        "bc21d1580a295fceb3acce40c6fa0a0c324f2855452901668f66113acc8a658a"),
+    10: ("03a28d35c4b5a8d730f90d44956d02ef55034ae7b9c7dc74c012fc5dba407d72",
+         "bc21d1580a295fceb3acce40c6fa0a0c324f2855452901668f66113acc8a658a"),
+    11: ("6d0183f8e9bdbb5769d7d442b5395b753958e03b098234a558cc310229793c53",
+         "bc21d1580a295fceb3acce40c6fa0a0c324f2855452901668f66113acc8a658a"),
+    12: ("bc9f9c1932e32ff003ff259b90dd31df823c922cffc6ba8c3d1d9d2cb0d0f862",
+         "bc21d1580a295fceb3acce40c6fa0a0c324f2855452901668f66113acc8a658a"),
+    13: ("e6a7912ab44043c961365821ac0da0958b7c85cf574a5b1d50fead43e5301117",
+         "bc21d1580a295fceb3acce40c6fa0a0c324f2855452901668f66113acc8a658a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCH_UPST_SHA256))
+def test_search_upst_output_pinned(capsys, n):
+    code, out, err = run_cli(capsys, "search-upst", "--n", str(n))
+    assert code == 0
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (out, err))
+    assert digests == SEARCH_UPST_SHA256[n]
 
 
 def test_construct_and_reload(tmp_path, capsys):

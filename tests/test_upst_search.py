@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwalk.constructions import (OrientedGraph, oriented_cycle, oriented_k2,
                                  oriented_k3, oriented_to_hermitian,
@@ -74,15 +76,13 @@ def test_sqrt_grid_recognition():
 def test_isolated_vertices_are_degenerate():
     # q(y) = y is square-free, but theta = 0 is a double eigenvalue
     checks = upst_necessary_conditions(OrientedGraph(2, frozenset()))
-    assert checks == NecessaryConditions(False, False, False,
-                                         failure="degenerate spectrum")
+    assert checks == NecessaryConditions("degenerate spectrum")
 
 
 def test_non_regular_graph_fails_flatness_at_k2():
     # the path 0 -> 1 -> 2 has spectrum 0, +-sqrt(2) but degrees 1, 2, 1
     checks = upst_necessary_conditions(OrientedGraph(3, frozenset({(0, 1), (1, 2)})))
-    assert checks == NecessaryConditions(True, False, False,
-                                         failure="eigenvectors not flat")
+    assert checks == NecessaryConditions("eigenvectors not flat")
 
 
 def test_n4_orientation_fails_only_the_grid():
@@ -90,8 +90,19 @@ def test_n4_orientation_fails_only_the_grid():
     # with theta^2 = 3 +- sqrt(8)
     arcs = frozenset((a, b) for a in range(4) for b in range(a + 1, 4))
     checks = upst_necessary_conditions(OrientedGraph(4, arcs))
-    assert checks == NecessaryConditions(True, True, False, integer_grid=False,
-                                         failure="spectrum not in Z*sqrt(Delta)")
+    assert checks == NecessaryConditions("spectrum not in Z*sqrt(Delta)")
+
+
+@given(st.integers(min_value=1, max_value=60),
+       st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
+       st.booleans())
+def test_sqrt_grid_always_satisfies_the_ratio_condition(delta, zs, with_zero):
+    # why upst_necessary_conditions needs no ratio test after its grid check:
+    # with theta = z*sqrt(Delta) every ratio of eigenvalue differences is
+    # rational
+    grid = [Surd.sqrt(delta, sign * z) for z in zs for sign in (-1, 1)]
+    grid += [Surd(0)] * with_zero
+    assert check_periodicity(grid) == (True, None)
 
 
 def _float_conditions(graph: OrientedGraph) -> NecessaryConditions:
@@ -100,11 +111,9 @@ def _float_conditions(graph: OrientedGraph) -> NecessaryConditions:
     n = graph.n
     thetas, vectors = np.linalg.eigh(oriented_to_hermitian(graph).array)
     if n > 1 and np.min(np.diff(thetas)) <= 1e-8:
-        return NecessaryConditions(False, False, False,
-                                   failure="degenerate spectrum")
+        return NecessaryConditions("degenerate spectrum")
     if np.max(np.abs(np.abs(vectors) - 1 / math.sqrt(n))) > 1e-7:
-        return NecessaryConditions(True, False, False,
-                                   failure="eigenvectors not flat")
+        return NecessaryConditions("eigenvectors not flat")
     squares = [round(t * t) for t in thetas]
     if any(abs(t * t - y) > 1e-7 * max(1.0, abs(2 * t))
            for t, y in zip(thetas, squares)):
@@ -114,15 +123,11 @@ def _float_conditions(graph: OrientedGraph) -> NecessaryConditions:
     zs = tuple(round(t / math.sqrt(delta)) for t in thetas)
     if any(abs(t - z * math.sqrt(delta)) > 1e-7 for t, z in zip(thetas, zs)):
         return _off_grid()
-    periodic, _ = check_periodicity([Surd.sqrt(delta, z) for z in zs])
-    return NecessaryConditions(
-        True, True, periodic, integer_grid=True, delta=delta, grid_coeffs=zs,
-        failure=None if periodic else "ratio condition fails")
+    return NecessaryConditions(delta=delta, grid_coeffs=zs)
 
 
 def _off_grid() -> NecessaryConditions:
-    return NecessaryConditions(True, True, False, integer_grid=False,
-                               failure="spectrum not in Z*sqrt(Delta)")
+    return NecessaryConditions("spectrum not in Z*sqrt(Delta)")
 
 
 def test_exact_conditions_match_eigensolver_on_all_small_orientations():
