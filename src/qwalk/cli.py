@@ -14,7 +14,7 @@ import warnings
 
 from .constructions import (FAMILIES, BadFamilyParameters, FamilyBundle,
                            build_family, build_family_spec)
-from .linalg import DEFAULT_CLUSTER_TOL, HermitianMatrix, spectral_decomposition
+from .linalg import DEFAULT_CLUSTER_TOL, HermitianMatrix
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
                        fidelity_sweep, pgst_verdict, pst_verdict,
@@ -99,7 +99,7 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     bundle = _load_bundle(args)
-    dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
+    dec = bundle.decomposition(args.tol)
     n = bundle.matrix.dim
     report = {
         "dim": n,
@@ -131,7 +131,7 @@ def _transfer_check(args, decide) -> int:
     """Shared body of pst-check and pgst-check: decompose, decide, dump."""
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
-    dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
+    dec = bundle.decomposition(args.tol)
     verdict = decide(bundle, dec)
     if bundle.notes:
         verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
@@ -154,7 +154,7 @@ def cmd_pgst_check(args) -> int:
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
-    dec = spectral_decomposition(bundle.matrix, cluster_tol=args.tol)
+    dec = bundle.decomposition(args.tol)
     result = fidelity_sweep(dec, args.frm, args.to, args.t_max, args.steps)
     with _out_stream(args) as fh:
         result.to_csv(fh)
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, vertices=False, sweep=False):
         add_source(p)
         p.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                       help="eigenvalue clustering tolerance")
+                       help="eigenvalue clustering tolerance of the eigensolve "
+                            "(a closed-form spectrum is not clustered)")
         if vertices:
             p.add_argument("--from", dest="frm", type=int, required=True,
                            help="source vertex (0-based)")

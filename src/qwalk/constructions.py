@@ -51,13 +51,24 @@ class NonHermitianResult(RuntimeError):
 @dataclass
 class FamilyBundle:
     """A built family: matrix plus whatever exact data the family affords:
-    its eigenvalues as surds in any order, or a lattice holding every
-    integer relation among the ascending eigenvalues (a superset will do)."""
+    its eigenvalues as surds in any order, its closed-form spectral
+    decomposition, or a lattice holding every integer relation among the
+    eigenvalues of that decomposition, in its order (a superset will do)."""
 
     matrix: HermitianMatrix
     exact_spectrum: Optional[list[Surd]] = None
     notes: str = ""
     lattice: Optional[RelationLattice] = None
+    spectrum: Optional[SpectralDecomposition] = None
+
+    def decomposition(self, cluster_tol: float = DEFAULT_CLUSTER_TOL
+                      ) -> SpectralDecomposition:
+        """The closed-form spectrum, validated against matrix, or when the
+        family has none an eigensolve of matrix clustered at cluster_tol."""
+        if self.spectrum is None:
+            return spectral_decomposition(self.matrix, cluster_tol)
+        self.spectrum.validate(self.matrix)
+        return self.spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +303,24 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     """Assemble the mn x mn product of a Hermitian circulant with a looped
     path and its closed-form spectrum: every eigenvector of branch j's m x m
     path matrix (loop gamma on top, theta_j at the root), tensored with
-    Fourier vector j, is an eigenvector of the product."""
+    Fourier vector j, is an eigenvector of the product.
+
+    Every eigenvalue is simple, for every m and every real gamma, once the
+    base theta_j are distinct (DuplicateEigenvalue otherwise).  Let q_k be
+    the characteristic polynomial of the leading k x k block of the path
+    matrix with nothing at the root: q_0 = 1, q_1 = x - gamma and
+    q_k = x q_{k-1} - q_{k-2}.  The determinant is linear in the root
+    entry, so branch j's polynomial is p_j = q_m - theta_j q_{m-1}.  A root
+    shared by branches j != k is a common root of q_m and q_{m-1}, and the
+    recurrence run backwards then makes it a root of q_0 = 1, which is
+    impossible.  Within a branch the unit off-diagonal makes every
+    eigenvalue simple.  So the spectrum is stored unclustered
+    (cluster_tol 0): validate asks only for strictly ascending floats,
+    orthonormality and reconstruction."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if len(set(map(Fraction, circ.thetas))) != len(circ.thetas):
+        raise DuplicateEigenvalue("base spectrum has a repeated value")
     n = circ.matrix.dim
     root_block = np.zeros((m, m))
     root_block[-1, -1] = 1.0
@@ -309,7 +335,7 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     vectors = vecs[branches, :, s].T[:, None, :] * dft_matrix(n)[:, branches]
     spectrum = SpectralDecomposition(roots[branches, s],
                                      vectors.reshape(m * n, m * n),
-                                     [1] * (m * n), DEFAULT_CLUSTER_TOL)
+                                     [1] * (m * n), 0.0)
     return LoopedPathProduct(h_z, n, list(circ.thetas), spectrum,
                              branches.tolist())
 
@@ -416,8 +442,10 @@ def _upst_circulant_family(n, alpha=0, beta=1, h=1, c=None) -> FamilyBundle:
 def _star_product_family(m) -> FamilyBundle:
     """The oriented triangle with an m-star at every vertex."""
     m = int(m)
-    product = rooted_star_product(oriented_to_hermitian(oriented_k3()), m)
-    return FamilyBundle(product, star_support_surds(m)[0] + [Surd(0)])
+    base = oriented_to_hermitian(oriented_k3())
+    return FamilyBundle(rooted_star_product(base, m),
+                        star_support_surds(m)[0] + [Surd(0)],
+                        spectrum=rooted_star_spectrum(base, m))
 
 
 def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
@@ -432,10 +460,12 @@ def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
         # a rational loop weight breaks the trace-condition argument
         # behind relation_superlattice: no exact check applies
         return FamilyBundle(product.matrix, notes=f"loop weight gamma = {ratio} "
-                                                  "is rational: no exact PGST check")
+                                                  "is rational: no exact PGST check",
+                            spectrum=product.spectrum)
     return FamilyBundle(product.matrix,
                         notes=f"loop weight gamma = {gamma!r} assumed transcendental",
-                        lattice=product.relation_superlattice())
+                        lattice=product.relation_superlattice(),
+                        spectrum=product.spectrum)
 
 
 # Each family's builder; its keyword parameters and their defaults are the

@@ -121,8 +121,7 @@ class SpectralDecomposition:
     theta_r, ascending, and the orthonormal eigenvector matrix V whose
     consecutive column blocks V_r have the multiplicities as widths."""
 
-    def __init__(self, eigenvalues, vectors, multiplicities, cluster_tol,
-                 ambiguous_gaps=()):
+    def __init__(self, eigenvalues, vectors, multiplicities, cluster_tol):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.vectors = np.array(vectors, dtype=complex)
         self.vectors.setflags(write=False)
@@ -133,7 +132,6 @@ class SpectralDecomposition:
             raise ValueError("need a square eigenvector matrix and one "
                              "positive multiplicity per eigenvalue")
         self.cluster_tol = float(cluster_tol)
-        self.ambiguous_gaps = tuple(ambiguous_gaps)
 
     @property
     def dim(self) -> int:
@@ -211,14 +209,13 @@ def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
     widths = np.diff(np.append(starts, len(w)))
     eigenvalues = np.add.reduceat(w, starts) / widths
 
-    ambiguous = [(r, r + 1, float(gap)) for r, gap in enumerate(np.diff(eigenvalues))
-                 if gap < 10 * cluster_tol]
+    ambiguous = int(np.count_nonzero(np.diff(eigenvalues) < 10 * cluster_tol))
     if ambiguous:
         warnings.warn(
-            f"{len(ambiguous)} eigenvalue gap(s) within 10x cluster_tol; "
+            f"{ambiguous} eigenvalue gap(s) within 10x cluster_tol; "
             "clustering may be ambiguous", ClusterAmbiguityWarning)
 
-    dec = SpectralDecomposition(eigenvalues, v, widths, cluster_tol, ambiguous)
+    dec = SpectralDecomposition(eigenvalues, v, widths, cluster_tol)
     del v  # dec holds its own copy; free this one before the O(n^3) checks
     dec.validate(a)
     return dec

@@ -16,18 +16,17 @@ import numpy as np
 
 from .constructions import (OrientedGraph, SIGNED_SHIFT_4, build_family,
                             c4_tensor_construction, one_way_family_4,
-                            one_way_family_8, oriented_k2, oriented_k3,
+                            one_way_family_8, oriented_k2,
                             oriented_hypercube, oriented_to_hermitian,
-                            rooted_looped_path_product, rooted_star_product,
-                            rooted_star_spectrum, upst_circulant)
+                            rooted_looped_path_product, upst_circulant)
 from .linalg import (EigensolverFailure, SpectralDecomposition,
                      hermitian_from_entries, spectral_decomposition,
                      transition_matrix)
 from .numtheory import Surd, float_relation_probe, relation_lattice
 from .star import classify_star_m, star_support_surds
 from .transfer import (align_exact_spectrum, certify_pgst, check_periodicity,
-                       eigenvalue_support, fidelity_sweep, pst_verdict,
-                       strong_cospectrality)
+                       eigenvalue_support, fidelity_sweep, pgst_verdict,
+                       pst_verdict, strong_cospectrality)
 from .upst_search import classify_all
 
 def crit_oriented_k3_universal_pst() -> tuple[bool, str]:
@@ -141,12 +140,10 @@ def crit_exhaustive_classification() -> tuple[bool, str]:
                   "reproduced and all charpoly-ruled-out")
 
 
-def _check_closed_form(closed: SpectralDecomposition, h
-                       ) -> tuple[SpectralDecomposition, float]:
-    """Validate a closed form against h, then match its multiplicities and
-    eigenvalues (to 1e-8) with the eigensolver's, raising EigensolverFailure
-    if not; returns the eigensolver's decomposition and the eigenvalue error."""
-    closed.validate(h)
+def _eigensolver_error(closed: SpectralDecomposition, h) -> float:
+    """Match a closed form's multiplicities and eigenvalues (to 1e-8) with
+    the eigensolver's, raising EigensolverFailure if not; returns the
+    eigenvalue error."""
     dec = spectral_decomposition(h)
     if dec.multiplicities != closed.multiplicities:
         raise EigensolverFailure(
@@ -154,21 +151,20 @@ def _check_closed_form(closed: SpectralDecomposition, h
     err = float(np.max(np.abs(dec.eigenvalues - closed.eigenvalues)))
     if err > 1e-8:
         raise EigensolverFailure(f"eigenvalues differ by {err:.2e}")
-    return dec, err
+    return err
 
 
 def crit_star_product_spectra() -> tuple[bool, str]:
-    """The closed-form star-product decomposition passes _check_closed_form
-    for m in {1, 2, 3, 6, 27}."""
-    h_x = oriented_to_hermitian(oriented_k3())
+    """The star-product family's closed-form decomposition, as the CLI
+    decides on it, validates and matches the eigensolver for m in
+    {1, 2, 3, 6, 27}."""
     worst_spec, worst_rec = 0.0, 0.0
     for m in (1, 2, 3, 6, 27):
-        h_y = rooted_star_product(h_x, m)
-        closed = rooted_star_spectrum(h_x, m)
-        _, err = _check_closed_form(closed, h_y)
-        worst_spec = max(worst_spec, err)
+        bundle = build_family("star-product", m=m)
+        closed = bundle.decomposition()
+        worst_spec = max(worst_spec, _eigensolver_error(closed, bundle.matrix))
         worst_rec = max(worst_rec, float(np.max(np.abs(
-            closed.matrix() - h_y.array))))
+            closed.matrix() - bundle.matrix.array))))
     return True, f"max spectrum error {worst_spec:.2e}, max reconstruction error {worst_rec:.2e}"
 
 
@@ -189,15 +185,19 @@ def crit_star_classification() -> tuple[bool, str]:
 
 
 def crit_looped_path_product() -> tuple[bool, str]:
-    """Looped-path products over the rational universal-transfer circulant:
-    the closed-form spectrum passes _check_closed_form (so it is simple, as
-    the eigensolver finds), the exact quarrels match the measured ones at
-    every level, multiple transfer is certified, and sweeps corroborate."""
+    """Looped-path products over the rational universal-transfer circulant,
+    on the family's closed-form decomposition as the CLI decides on it: at
+    m = 2, 3 it matches the eigensolver, the exact quarrels match the
+    measured ones at every level, multiple transfer is certified and sweeps
+    corroborate; at m = 12, past the eigensolver's reach, pgst_verdict
+    certifies pair (0, 1) exactly."""
     circ = upst_circulant(3, 0, 1, 1)
     details = []
     for m in (2, 3):
+        bundle = build_family("looped-path", m=m)
+        dec = bundle.decomposition()
+        _eigensolver_error(dec, bundle.matrix)
         product = rooted_looped_path_product(circ, m, math.pi)
-        dec, _ = _check_closed_form(product.spectrum, product.matrix)
         for level in range(1, m + 1):
             for (a, b) in ((0, 1), (1, 2), (0, 2)):
                 turns = strong_cospectrality(dec, product.vertex(a, level),
@@ -209,8 +209,7 @@ def crit_looped_path_product() -> tuple[bool, str]:
         # every level pair (0, 1) has these quarrels, so one check covers
         # all; the superset lattice from the trace conditions assumes the
         # loop weight is transcendental over the rational base spectrum
-        verdict = certify_pgst(
-            None, product.quarrel_turns(0, 1), product.relation_superlattice())
+        verdict = certify_pgst(None, product.quarrel_turns(0, 1), bundle.lattice)
         if verdict.kind != "PGST-certified":
             return False, f"m={m}: {verdict.kind}"
         sweep = fidelity_sweep(dec, product.vertex(0, 1), product.vertex(1, 1),
@@ -218,7 +217,11 @@ def crit_looped_path_product() -> tuple[bool, str]:
         if sweep.best_fidelity < 0.9:
             return False, f"m={m}: sweep only reached {sweep.best_fidelity}"
         details.append(f"m={m}: sweep max {sweep.best_fidelity:.4f}")
-    return True, "; ".join(details)
+    bundle = build_family("looped-path", m=12)
+    verdict = pgst_verdict(bundle.decomposition(), 0, 1, lattice=bundle.lattice)
+    mode = verdict.witness.get("mode")
+    details.append(f"m=12 pair (0, 1): {verdict.kind}, mode {mode}")
+    return (verdict.kind, mode) == ("PGST-certified", "exact"), "; ".join(details)
 
 
 def crit_property_suites() -> tuple[bool, str]:

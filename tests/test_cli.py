@@ -147,16 +147,63 @@ def test_pgst_check_looped_path(capsys):
     assert verdict["kind"] == "PGST-certified"
 
 
-@pytest.mark.parametrize("m", range(2, 8))
-def test_pgst_check_looped_path_exact_up_to_m_7(capsys, m):
-    # from m = 8 the eigensolver merges loop-bound states of different
-    # Fourier branches (closed-form gaps 1.2e-7 at m = 8), see README
-    code, out, _ = run_cli(capsys, "pgst-check", "--family", "looped-path",
-                           "--n", "3", "--m", str(m), "--from", "0", "--to", "1")
+def _looped_path_pgst(capsys, m, a=0, b=1):
+    return run_cli(capsys, "pgst-check", "--family", "looped-path", "--n", "3",
+                   "--m", str(m), "--from", str(a), "--to", str(b))
+
+
+def _assert_looped_path_exact(capsys, m):
+    code, out, _ = _looped_path_pgst(capsys, m)
     assert code == 0
     verdict = json.loads(out)
     assert verdict["kind"] == "PGST-certified"
     assert verdict["witness"]["mode"] == "exact"
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pgst_check_looped_path_exact_up_to_m_7(capsys, m):
+    _assert_looped_path_exact(capsys, m)
+
+
+@pytest.mark.parametrize("m", range(8, 19))
+def test_pgst_check_looped_path_exact_from_m_8_to_18(capsys, m):
+    # the loop-bound states of different Fourier branches lie 1.2e-7 apart
+    # at m = 8 and 1.2e-9 at m = 10: an eigensolve clustered at --tol
+    # merges them, the family's closed form keeps them apart
+    _assert_looped_path_exact(capsys, m)
+
+
+@pytest.mark.parametrize("m", [19, 30])
+def test_pgst_check_looped_path_past_float_resolution_is_analysis_failure(capsys, m):
+    # the closed-form gaps fall below the float spacing (about 1e-18 at
+    # m = 19): eigenvalues come out as equal floats and validate refuses
+    code, out, err = _looped_path_pgst(capsys, m)
+    assert code == 1
+    assert out == ""
+    assert err == "error: eigenvalue clusters are not separated\n"
+
+
+@pytest.mark.parametrize("m", range(19, 26))
+def test_pgst_check_looped_path_level_pairs_never_refused(capsys, m):
+    # past m = 18 whether two floats coincide is rounding: either the
+    # query fails or the verdict is right, never a false refusal
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        code, out, err = _looped_path_pgst(capsys, m, a, b)
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1
+        else:
+            verdict = json.loads(out)
+            assert (verdict["kind"], verdict["witness"]["mode"]) == (
+                "PGST-certified", "exact")
+
+
+def test_analyze_looped_path_lists_every_level_pair(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--family", "looped-path",
+                           "--n", "3", "--m", "10")
+    assert code == 0
+    pairs = {(p["a"], p["b"]) for p in json.loads(out)["strongly_cospectral_pairs"]}
+    assert pairs == {(3 * level + a, 3 * level + b) for level in range(10)
+                     for a, b in ((0, 1), (0, 2), (1, 2))}
 
 
 @pytest.mark.parametrize("gamma", ["0", "2.5"])
@@ -203,15 +250,25 @@ def test_missing_input_is_analysis_failure(capsys):
 
 def test_warnings_are_one_stderr_line_each(capsys):
     # under pytest's error filter a warning would otherwise raise; a second
-    # call in the same process shows it again
-    argv = ("pst-check", "--family", "star-product", "--m", "1",
+    # call in the same process shows it again.  oriented-k3 is eigensolved
+    # (gaps sqrt(3), within 10x --tol 0.5)
+    argv = ("pst-check", "--family", "oriented-k3",
             "--from", "0", "--to", "1", "--tol", "0.5")
     for _ in range(2):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["kind"] == "absent-certified"
-        assert err == ("warning: 5 eigenvalue gap(s) within 10x cluster_tol; "
+        assert json.loads(out)["kind"] == "PST-certified"
+        assert err == ("warning: 2 eigenvalue gap(s) within 10x cluster_tol; "
                        "clustering may be ambiguous\n")
+
+
+def test_closed_form_spectrum_is_not_clustered(capsys):
+    # star-product decides on its closed form, which --tol does not cluster
+    code, out, err = run_cli(capsys, "pst-check", "--family", "star-product",
+                             "--m", "1", "--from", "0", "--to", "1", "--tol", "0.5")
+    assert code == 0
+    assert json.loads(out)["kind"] == "absent-certified"
+    assert err == ""
 
 
 @pytest.mark.parametrize("text, message", [

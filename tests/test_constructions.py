@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
-from qwalk.constructions import (FAMILIES, BadFamilyParameters, NonCoprime,
+from qwalk.constructions import (FAMILIES, BadFamilyParameters, Circulant,
+                                 DuplicateEigenvalue, FamilyBundle, NonCoprime,
                                  OrientedGraph, SIGNED_SHIFT_4,
                                  SpectrumNotOddInteger,
                                  build_family, build_family_spec, c4_matrix,
@@ -17,7 +19,9 @@ from qwalk.constructions import (FAMILIES, BadFamilyParameters, NonCoprime,
                                  rooted_looped_path_product,
                                  rooted_star_product, rooted_star_spectrum,
                                  upst_circulant)
-from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
+from qwalk.linalg import (ClusterAmbiguityWarning, EigensolverFailure,
+                          hermitian_from_entries,
+                          spectral_decomposition, transition_matrix)
 from qwalk.numtheory import Surd
 from qwalk.transfer import check_periodicity, eigenvalue_support, strong_cospectrality
 
@@ -261,8 +265,9 @@ def test_looped_path_eigenpairs_and_quarrels():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
-    # relation_superlattice and quarrel_turns index the closed-form spectrum
-    # in its stored order, which must be the eigensolver's ascending order
+    # where the eigensolver separates the spectrum, it agrees with the
+    # closed form, whose stored order relation_superlattice and
+    # quarrel_turns index
     product = rooted_looped_path_product(upst_circulant(n, 0, 1, 1), m,
                                          math.pi)
     product.spectrum.validate(product.matrix)
@@ -274,6 +279,32 @@ def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
         q = strong_cospectrality(dec, product.vertex(0, level),
                                  product.vertex(1, level))
         assert q.turns == want
+
+
+def test_looped_path_branch_polynomials_share_no_root():
+    # sympy oracle for the separation argument of rooted_looped_path_product:
+    # branch polynomial p = q - theta*r, and gcd(q, r) = 1 over Q(gamma)
+    x, gamma, theta = sympy.symbols("x gamma theta")
+    field = sympy.QQ.frac_field(gamma)
+    for m in range(1, 6):
+        path = sympy.zeros(m, m)
+        path[0, 0] = gamma
+        for k in range(m - 1):
+            path[k, k + 1] = path[k + 1, k] = 1
+        branch = path.copy()
+        branch[m - 1, m - 1] += theta
+        q = path.charpoly(x).as_expr()
+        r = path[:m - 1, :m - 1].charpoly(x).as_expr() if m > 1 else sympy.Integer(1)
+        assert sympy.expand(branch.charpoly(x).as_expr() - (q - theta * r)) == 0
+        assert sympy.Poly(q, x, domain=field).gcd(
+            sympy.Poly(r, x, domain=field)).degree() == 0
+
+
+def test_looped_path_refuses_a_repeated_base_eigenvalue():
+    circ = upst_circulant(3, 0, 1, 1)
+    repeated = Circulant(circ.matrix, [Fraction(0), Fraction(1), Fraction(1)])
+    with pytest.raises(DuplicateEigenvalue):
+        rooted_looped_path_product(repeated, 2, math.pi)
 
 
 # --- one-way families ------------------------------------------------------------------------
@@ -330,8 +361,10 @@ def _required_parameters(name):
 def test_every_family_checks_its_parameter_list(name):
     required = _required_parameters(name)
     bundle = build_family(name, **{p: 3 for p in required})
-    # only the looped-path family carries a relation lattice
+    # only the looped-path family carries a relation lattice, and only it
+    # and the star product a closed-form spectrum
     assert (bundle.lattice is not None) == (name == "looped_path")
+    assert (bundle.spectrum is not None) == (name in ("looped_path", "star_product"))
     for missing in required:
         params = {p: 3 for p in required if p != missing}
         with pytest.raises(BadFamilyParameters) as err:
@@ -350,6 +383,22 @@ def test_only_looped_path_carries_a_lattice():
     # a rational loop weight voids the trace-condition argument
     rational = build_family("looped-path", m=2, param=0.1)
     assert rational.lattice is None and "is rational" in rational.notes
+
+
+def test_decomposition_is_the_closed_form_when_there_is_one():
+    # cluster_tol reaches only the eigensolve: the closed form is not
+    # clustered and so raises no ambiguity warning
+    star = build_family("star-product", m=2)
+    assert star.decomposition(0.5) is star.spectrum
+    k3 = build_family("oriented-k3")
+    assert k3.spectrum is None
+    with pytest.warns(ClusterAmbiguityWarning):
+        assert len(k3.decomposition(0.5)) == 3
+    # the closed form is validated against the matrix, not trusted
+    reversed_k3 = hermitian_from_entries(-k3.matrix.array)
+    wrong = FamilyBundle(star.matrix, spectrum=rooted_star_spectrum(reversed_k3, 2))
+    with pytest.raises(EigensolverFailure, match="reconstruction error"):
+        wrong.decomposition()
 
 
 def test_build_family_spec_json():
