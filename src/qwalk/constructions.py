@@ -234,8 +234,8 @@ def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
     lambda(+/-) = (theta_r +/- sqrt(theta_r^2 + 4m))/2 with block
     kron(w/|w|, V_r), w = (lambda, 1, ..., 1); for m > 1, eigenvalue 0 has
     block kron((0, h), I_n) over a sum-zero (Helmert) basis h of R^m.
-    lambda(+) > 0 > lambda(-), and both grow with theta_r, so the
-    eigenvalues are distinct; the blocks are sorted ascending."""
+    lambda(-) < 0 < lambda(+), both growing strictly with theta_r over the
+    separated clusters of X: the eigenvalues are distinct, sorted ascending."""
     if m < 1:
         raise ValueError("m must be at least 1")
     n = h_x.dim
@@ -257,7 +257,7 @@ def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
     blocks.sort(key=lambda block: block[0])
     return SpectralDecomposition(
         [lam for lam, _ in blocks], np.hstack([v for _, v in blocks]),
-        [v.shape[1] for _, v in blocks], dec.cluster_tol)
+        [v.shape[1] for _, v in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +314,8 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     shared by branches j != k is a common root of q_m and q_{m-1}, and the
     recurrence run backwards then makes it a root of q_0 = 1, which is
     impossible.  Within a branch the unit off-diagonal makes every
-    eigenvalue simple.  So the spectrum is stored unclustered
-    (cluster_tol 0): validate asks only for strictly ascending floats,
-    orthonormality and reconstruction."""
+    eigenvalue simple.  So the spectrum is stored unclustered, one block
+    per (branch, index), however close two floats come."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if len(set(map(Fraction, circ.thetas))) != len(circ.thetas):
@@ -335,7 +334,7 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     vectors = vecs[branches, :, s].T[:, None, :] * dft_matrix(n)[:, branches]
     spectrum = SpectralDecomposition(roots[branches, s],
                                      vectors.reshape(m * n, m * n),
-                                     [1] * (m * n), 0.0)
+                                     [1] * (m * n))
     return LoopedPathProduct(h_z, n, list(circ.thetas), spectrum,
                              branches.tolist())
 

@@ -121,7 +121,7 @@ class SpectralDecomposition:
     theta_r, ascending, and the orthonormal eigenvector matrix V whose
     consecutive column blocks V_r have the multiplicities as widths."""
 
-    def __init__(self, eigenvalues, vectors, multiplicities, cluster_tol):
+    def __init__(self, eigenvalues, vectors, multiplicities):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.vectors = np.array(vectors, dtype=complex)
         self.vectors.setflags(write=False)
@@ -131,7 +131,6 @@ class SpectralDecomposition:
                 or self.vectors.shape != (self.offsets[-1],) * 2):
             raise ValueError("need a square eigenvector matrix and one "
                              "positive multiplicity per eigenvalue")
-        self.cluster_tol = float(cluster_tol)
 
     @property
     def dim(self) -> int:
@@ -170,9 +169,9 @@ class SpectralDecomposition:
         return np.conjugate(m, out=m)
 
     def validate(self, h) -> None:
-        """Check, in O(n^3), that V is orthonormal, that distinct eigenvalues
-        are more than cluster_tol apart, and that sum_r theta_r E_r
-        reconstructs h."""
+        """Check, in O(n^3), that V is orthonormal and that sum_r theta_r E_r
+        reconstructs h.  What keeps distinct eigenvalues apart is decided by
+        the builder: the eigensolve's clustering or a closed form's proof."""
         gram = self.vectors.conj().T @ self.vectors
         gram[np.diag_indices(self.dim)] -= 1
         err = _max_abs(gram)
@@ -180,9 +179,6 @@ class SpectralDecomposition:
         if err > ORTHONORMALITY_TOL:
             raise EigensolverFailure(
                 f"eigenvectors are not orthonormal (error {err:.3e})")
-        gaps = np.diff(self.eigenvalues)
-        if len(gaps) and float(np.min(gaps)) <= self.cluster_tol:
-            raise EigensolverFailure("eigenvalue clusters are not separated")
         residual = self.matrix()
         residual -= np.asarray(h)
         err = _max_abs(residual)
@@ -215,7 +211,7 @@ def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
             f"{ambiguous} eigenvalue gap(s) within 10x cluster_tol; "
             "clustering may be ambiguous", ClusterAmbiguityWarning)
 
-    dec = SpectralDecomposition(eigenvalues, v, widths, cluster_tol)
+    dec = SpectralDecomposition(eigenvalues, v, widths)
     del v  # dec holds its own copy; free this one before the O(n^3) checks
     dec.validate(a)
     return dec

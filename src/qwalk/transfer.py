@@ -393,23 +393,29 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
                  lattice: Optional[RelationLattice] = None) -> TransferVerdict:
     """Decide pretty good state transfer from a to b: strong cospectrality,
     then the exact Kronecker check (certify_pgst) when the exact spectrum
-    (in any order; aligned first) or a relation lattice is given and every
-    quarrel is a recognized rational turn, else numeric evidence from a
-    sweep over [0, PGST_SWEEP_T_MAX]."""
+    (in any order; aligned first) or a relation lattice of the support's
+    dimension is given and every quarrel is a recognized rational turn,
+    else numeric evidence from a sweep over [0, PGST_SWEEP_T_MAX]."""
     if exact is not None:
         exact = align_exact_spectrum(dec, exact)
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
         return _refusal(exc)
-    turns = quarrels.turns
-    if turns is not None and (exact is not None or lattice is not None):
-        values = None if exact is None else [exact[r] for r in quarrels.support]
+    support, turns = quarrels.support, quarrels.turns
+    if lattice is not None and lattice.dim != len(support):
+        # the exact support may be full: checking part of it proves nothing
+        reason = (f"relation lattice has dimension {lattice.dim} but pair "
+                  f"({a}, {b}) has {len(support)} eigenvalues with support "
+                  f"norm above {SUPPORT_TOL:g}")
+    elif exact is None and lattice is None:
+        reason = "no exact spectrum or relation lattice supplied"
+    elif turns is None:
+        reason = (f"quarrels of pair ({a}, {b}) are not all recognized "
+                  "rational multiples of 2*pi")
+    else:
+        values = None if exact is None else [exact[r] for r in support]
         return certify_pgst(values, turns, lattice)
-    reason = ("no exact spectrum or relation lattice supplied"
-              if exact is None and lattice is None
-              else f"quarrels of pair ({a}, {b}) are not all recognized "
-                   "rational multiples of 2*pi")
     sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
     return TransferVerdict(
         "numeric-evidence", time=sweep.best_time, fidelity=sweep.best_fidelity,

@@ -15,10 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import (OrientedGraph, SIGNED_SHIFT_4, build_family,
-                            c4_tensor_construction, one_way_family_4,
-                            one_way_family_8, oriented_k2,
-                            oriented_hypercube, oriented_to_hermitian,
-                            rooted_looped_path_product, upst_circulant)
+                            oriented_to_hermitian, rooted_looped_path_product,
+                            upst_circulant)
 from .linalg import (EigensolverFailure, SpectralDecomposition,
                      hermitian_from_entries, spectral_decomposition,
                      transition_matrix)
@@ -32,7 +30,7 @@ from .upst_search import classify_all
 def crit_oriented_k3_universal_pst() -> tuple[bool, str]:
     """Every ordered pair of the oriented triangle gets certified PST."""
     bundle = build_family("oriented-k3")
-    dec = spectral_decomposition(bundle.matrix)
+    dec = bundle.decomposition()
     worst = 1.0
     for a in range(3):
         for b in range(3):
@@ -49,11 +47,10 @@ def crit_c4_tensor_family() -> tuple[bool, str]:
     """Block PST at pi/4, pi/2, 3pi/4 and the signed-shift identity for the
     4-cycle tensor construction over K2 and the oriented 3-cube."""
     details = []
-    for name, base in (("K2", oriented_k2()), ("3-cube", oriented_hypercube(1))):
-        h_x = oriented_to_hermitian(base)
-        h_y = c4_tensor_construction(h_x)
-        dec = spectral_decomposition(h_y)
-        n = h_x.dim
+    for name, bundle in (("K2", build_family("c4-tensor-k2")),
+                         ("3-cube", build_family("c4-tensor-cube", m=1))):
+        dec = bundle.decomposition()
+        n = dec.dim // 4
         shift_err = float(np.max(np.abs(
             transition_matrix(dec, math.pi / 4)
             - np.kron(np.eye(n), SIGNED_SHIFT_4))))
@@ -74,8 +71,8 @@ def crit_c4_tensor_family() -> tuple[bool, str]:
 def crit_one_way_pst() -> tuple[bool, str]:
     """One-way transfer: exact hit at t=1 with phase 1, no periodicity, and
     pretty good return transfer within the [0, 5000] window."""
-    fam = one_way_family_4(math.sqrt(2))
-    dec = spectral_decomposition(fam.matrix)
+    fam = build_family("one-way-4")
+    dec = fam.decomposition()
     amp = transition_matrix(dec, 1.0)[0, 2]
     if abs(amp) < 1 - 1e-10:
         return False, f"|U(1)[0,2]| = {abs(amp)}"
@@ -96,8 +93,8 @@ def crit_one_way_pst() -> tuple[bool, str]:
 def crit_eight_vertex_example() -> tuple[bool, str]:
     """The 8-vertex family: PST 0->1,2,3 at t = 1,2,3, full support
     everywhere, periodic nowhere."""
-    fam = one_way_family_8(math.sqrt(2))
-    dec = spectral_decomposition(fam.matrix)
+    fam = build_family("one-way-8")
+    dec = fam.decomposition()
     fidelities = []
     for t, tgt in ((1.0, 1), (2.0, 2), (3.0, 3)):
         f = abs(transition_matrix(dec, t)[tgt, 0])
@@ -209,7 +206,7 @@ def crit_looped_path_product() -> tuple[bool, str]:
         # every level pair (0, 1) has these quarrels, so one check covers
         # all; the superset lattice from the trace conditions assumes the
         # loop weight is transcendental over the rational base spectrum
-        verdict = certify_pgst(None, product.quarrel_turns(0, 1), bundle.lattice)
+        verdict = pgst_verdict(dec, 0, 1, lattice=bundle.lattice)
         if verdict.kind != "PGST-certified":
             return False, f"m={m}: {verdict.kind}"
         sweep = fidelity_sweep(dec, product.vertex(0, 1), product.vertex(1, 1),

@@ -162,29 +162,35 @@ def test_projector_algebra_and_reconstruction_random():
 
 def test_validate_rejects_non_orthonormal_block():
     h = np.diag([1.0, 2.0])
-    dec = SpectralDecomposition([1.0, 2.0], [[1, 1e-6], [0, 1]], [1, 1], 1e-8)
+    dec = SpectralDecomposition([1.0, 2.0], [[1, 1e-6], [0, 1]], [1, 1])
     with pytest.raises(EigensolverFailure, match="orthonormal"):
         dec.validate(h)
 
 
 def test_validate_rejects_wrong_eigenvalue():
     h = np.diag([1.0, 2.0])
-    SpectralDecomposition([1.0, 2.0], np.eye(2), [1, 1], 1e-8).validate(h)
-    dec = SpectralDecomposition([1.0, 2.0 + 1e-6], np.eye(2), [1, 1], 1e-8)
+    SpectralDecomposition([1.0, 2.0], np.eye(2), [1, 1]).validate(h)
+    dec = SpectralDecomposition([1.0, 2.0 + 1e-6], np.eye(2), [1, 1])
     with pytest.raises(EigensolverFailure, match="reconstruction"):
         dec.validate(h)
 
 
 def test_validate_rejects_merged_clusters():
-    # two blocks closer than cluster_tol should have been one
-    h = np.diag([0.0, 1e-10])
-    dec = SpectralDecomposition([0.0, 1e-10], np.eye(2), [1, 1], 1e-8)
-    with pytest.raises(EigensolverFailure, match="not separated"):
-        dec.validate(h)
     # one block holding two distinct eigenvalues does not reconstruct h
-    dec = SpectralDecomposition([0.5], np.eye(2), [2], 1e-8)
+    dec = SpectralDecomposition([0.5], np.eye(2), [2])
     with pytest.raises(EigensolverFailure, match="reconstruction"):
         dec.validate(np.diag([0.0, 1.0]))
+
+
+def test_equal_floats_in_separate_blocks_stay_separate():
+    # a closed form may keep two eigenvalues apart that round to one float:
+    # validate checks the algebra, and each block keeps its own entries
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    dec = SpectralDecomposition([1.0, 1.0], rotation, [1, 1])
+    dec.validate(np.eye(2))
+    assert np.allclose(dec.entries(1, 0), [s * c, -s * c])
+    assert np.allclose(dec.support_norms, [[c, s], [s, c]])
 
 
 def test_multiplicities_on_degenerate_spectra():

@@ -370,6 +370,9 @@ def test_certify_pgst_independent_eigenvalues():
     assert lattice.rank == 0
     verdict = certify_pgst(values, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)])
     assert verdict.kind == "PGST-certified"
+    # a lattice over more eigenvalues than quarrels is a caller's error
+    with pytest.raises(ValueError, match="lattice dimension"):
+        certify_pgst(None, [Fraction(1, 7), Fraction(2, 7)], lattice)
 
 
 def test_certify_pgst_trivial_cases():
