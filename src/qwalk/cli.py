@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -202,7 +203,10 @@ def cmd_verify_paper(args) -> int:
     return run_battery(sys.stdout)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qwalk parser, built once per process: parse_args makes a fresh
+    Namespace on every call, and no action keeps state between calls."""
     parser = _Parser(
         prog="qwalk",
         description="Quantum-walk state transfer on Hermitian and oriented "
@@ -287,6 +291,10 @@ def main(argv=None) -> int:
         except (FlagError, BadFamilyParameters) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            sys.stderr.write(f"error: out of memory{detail}\n")
+            return 1
         except (ValueError, OSError, RuntimeError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1

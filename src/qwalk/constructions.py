@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_CLUSTER_TOL, HermitianMatrix,
-                     SpectralDecomposition, hermitian_from_entries, kron,
-                     spectral_decomposition)
+from .linalg import (DEFAULT_CLUSTER_TOL, MAX_KRON_DIM, DimensionOverflow,
+                     HermitianMatrix, SpectralDecomposition,
+                     hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
 from .star import star_support_surds
@@ -120,10 +120,14 @@ def oriented_cycle(n: int) -> OrientedGraph:
 
 def oriented_hypercube(m: int) -> OrientedGraph:
     """(2m+1)-dimensional cube with every edge oriented from the even-weight
-    bipartition class to the odd-weight class."""
+    bipartition class to the odd-weight class, refused above MAX_KRON_DIM
+    vertices before any arc is enumerated."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     d = 2 * m + 1
+    if d >= MAX_KRON_DIM.bit_length():  # 2^d > MAX_KRON_DIM
+        raise DimensionOverflow(
+            f"hypercube vertex count 2^{d} exceeds limit {MAX_KRON_DIM}")
     arcs = set()
     for u in range(1 << d):
         for bit in range(d):

@@ -1,17 +1,22 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qwalk.cli import main
+from qwalk.cli import build_parser, main
 from qwalk.constructions import FAMILIES
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main(argv) as (exit code, stdout, stderr); -h's SystemExit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -347,6 +352,8 @@ BAD_FAMILY_CASES = {
                           "n must be at least 1"),
     "hypercube-n": (["--family", "hypercube", "--m", "1", "--n", "3"],
                     "family 'hypercube' does not take parameter n"),
+    "hypercube-m6": (["--family", "hypercube", "--m", "6"],
+                     "hypercube vertex count 2^13 exceeds limit 4096"),
     "star-product-param": (["--family", "star-product", "--m", "2", "--param", "1"],
                            "family 'star-product' does not take parameter param"),
     "matrix-and-family": (["--matrix", "h.json", "--family", "oriented-k3"],
@@ -538,3 +545,63 @@ def test_search_upst_small_n_is_flag_error(capsys, n):
     assert code == 2
     assert out == ""
     assert err == f"error: --n {n} must be at least 2\n"
+
+
+@pytest.mark.parametrize("family", ["hypercube", "c4-tensor-cube"])
+def test_huge_hypercube_is_refused_before_any_arc(capsys, family):
+    # 2^81 vertices: enumerating the arcs would never end
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pst-check", "--family", family, "--m", "40",
+                             "--from", "0", "--to", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == "error: hypercube vertex count 2^81 exceeds limit 4096\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 14.6 TiB for an array",
+     "error: out of memory: Unable to allocate 14.6 TiB for an array\n"),
+    ("", "error: out of memory\n"),
+])
+@pytest.mark.parametrize("argv", [
+    ("pst-check", "--from", "0", "--to", "1"),
+    ("sweep", "--from", "0", "--to", "1"),
+    ("construct",),
+])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message, line, argv):
+    # the builder raises as numpy does when an allocation fails; nothing
+    # is allocated for real
+    def exhausted():
+        raise MemoryError(message)
+
+    monkeypatch.setitem(FAMILIES, "oriented_k3", exhausted)
+    code, out, err = run_cli(capsys, argv[0], "--family", "oriented-k3", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == line
+
+
+REUSE_SEQUENCE = [
+    ("sweep", "--family", "oriented-k2", "--from", "0", "--to", "1"),
+    # numeric path with no --t-max: sweep's defaults must not leak in
+    ("pst-check", "--family", "oriented-cycle", "--n", "4", "--from", "0", "--to", "2"),
+    ("pst-check", "--family", "oriented-k3", "--from", "0"),
+    ("pgst-check", "--family", "star-product", "--m", "6", "--from", "0", "--to", "1"),
+    ("-h",),
+    ("-h",),
+]
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    reused = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    assert build_parser() is parser
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused[4][1].startswith("usage: qwalk")
