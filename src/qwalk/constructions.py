@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linalg import (DEFAULT_CLUSTER_TOL, MAX_KRON_DIM, DimensionOverflow,
-                     HermitianMatrix, SpectralDecomposition,
+                     HermitianMatrix, SpectralDecomposition, check_kron_dim,
                      hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
@@ -223,6 +223,7 @@ def rooted_star_product(h_x: HermitianMatrix, m: int) -> HermitianMatrix:
     if m < 1:
         raise ValueError("m must be at least 1")
     n = h_x.dim
+    check_kron_dim((m + 1) * n)
     unit = np.zeros((m + 1, m + 1))
     unit[0, 0] = 1.0
     star = np.zeros((m + 1, m + 1))
@@ -325,6 +326,7 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     if len(set(map(Fraction, circ.thetas))) != len(circ.thetas):
         raise DuplicateEigenvalue("base spectrum has a repeated value")
     n = circ.matrix.dim
+    check_kron_dim(m * n)
     root_block = np.zeros((m, m))
     root_block[-1, -1] = 1.0
     path = np.eye(m, k=1) + np.eye(m, k=-1)

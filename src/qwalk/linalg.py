@@ -223,12 +223,17 @@ def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
+def check_kron_dim(out_dim: int) -> None:
+    """Refuse a Kronecker product of dimension above MAX_KRON_DIM; a
+    builder calls it before allocating the factors."""
+    if out_dim > MAX_KRON_DIM:
+        raise DimensionOverflow(
+            f"kron output dimension {out_dim} exceeds limit {MAX_KRON_DIM}")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with a guard on the output dimension."""
     aa = np.asarray(a, dtype=complex)
     bb = np.asarray(b, dtype=complex)
-    out_dim = aa.shape[0] * bb.shape[0]
-    if out_dim > MAX_KRON_DIM:
-        raise DimensionOverflow(
-            f"kron output dimension {out_dim} exceeds limit {MAX_KRON_DIM}")
+    check_kron_dim(aa.shape[0] * bb.shape[0])
     return np.kron(aa, bb)

@@ -1,7 +1,8 @@
 """Classification machinery for universal perfect state transfer in oriented
 graphs: spectral gap bounds, necessary-condition checks, exhaustive
-orientation search for small vertex counts, candidate integer spectra from
-the trace equation, and mod-2 characteristic polynomial rule-outs.
+orientation search for small vertex counts (one check per symmetry class),
+candidate integer spectra from the trace equation, and mod-2
+characteristic polynomial rule-outs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .constructions import OrientedGraph
 from .numtheory import charpoly_int, charpoly_mod2, poly_gcd, square_free_part
@@ -148,21 +151,75 @@ def regular_underlying_graphs(n: int) -> list[tuple[str, int, list[tuple[int, in
     raise ValueError("exhaustive enumeration is defined for n in {3, 4, 5}")
 
 
+def orientation(edges: Sequence[tuple[int, int]], n: int, mask: int
+                ) -> OrientedGraph:
+    """The orientation of edges whose bit i, when set, reverses edge i."""
+    return OrientedGraph(n, frozenset(
+        (a, b) if (mask >> bit) & 1 == 0 else (b, a)
+        for bit, (a, b) in enumerate(edges)))
+
+
 def orientations(edges: Sequence[tuple[int, int]], n: int) -> Iterator[tuple[int, OrientedGraph]]:
     for mask in range(1 << len(edges)):
-        arcs = set()
-        for bit, (a, b) in enumerate(edges):
-            arcs.add((a, b) if (mask >> bit) & 1 == 0 else (b, a))
-        yield mask, OrientedGraph(n, frozenset(arcs))
+        yield mask, orientation(edges, n, mask)
+
+
+def orientation_classes(edges: Sequence[tuple[int, int]], n: int) -> np.ndarray:
+    """canon[mask]: the least mask in the class of orientation mask under
+    the automorphisms of the graph on edges, each alone and composed with
+    reversing every arc.
+
+    An automorphism p (found by brute force over the n! vertex
+    permutations) sends edge i = (a, b) to edge j = {p(a), p(b)}, and an
+    orientation's bit i to bit j, flipped when (p(a), p(b)) runs against
+    edge j's listed order; reversing every arc flips every bit."""
+    index = {frozenset(e): j for j, e in enumerate(edges)}
+    bits = (np.arange(1 << len(edges))[:, None] >> np.arange(len(edges))) & 1
+    full = (1 << len(edges)) - 1
+    canon = np.arange(1 << len(edges))
+    for p in itertools.permutations(range(n)):
+        images = [(p[a], p[b]) for a, b in edges]
+        targets = [index.get(frozenset(e)) for e in images]
+        if None in targets:
+            continue
+        flips = np.array([e != edges[j] for e, j in zip(images, targets)],
+                         dtype=int)
+        image = (bits ^ flips) @ (1 << np.array(targets, dtype=int))
+        canon = np.minimum(canon, np.minimum(image, image ^ full))
+    return canon
+
+
+def decide_orientations(edges: Sequence[tuple[int, int]], n: int
+                        ) -> list[NecessaryConditions]:
+    """upst_necessary_conditions of every orientation of the graph on
+    edges, in mask order, running the checker once per orientation_classes
+    class, on its least mask.
+
+    Exact: each class shares one outcome and one witness.  Relabelling the
+    vertices by an automorphism with permutation matrix P turns the skew
+    matrix S into P S P^T: the characteristic polynomial is unchanged, the
+    row norms of every power (P S P^T)^k = P S^k P^T are those of S^k
+    permuted, and the maximum degree is unchanged.  Reversing every arc
+    turns S into -S: c_k changes by (-1)^k only, and q reads only the
+    c_2k, while every power (-S)^k = +-S^k has the row norms of S^k.  So
+    the simple-spectrum, flatness and grid stages see the same q, the same
+    norm multisets and the same root bound on every member of a class."""
+    decided: dict[int, NecessaryConditions] = {}
+    out = []
+    for rep in orientation_classes(edges, n).tolist():
+        if rep not in decided:
+            decided[rep] = upst_necessary_conditions(orientation(edges, n, rep))
+        out.append(decided[rep])
+    return out
 
 
 def exhaustive_rule_out(n: int) -> list[UPSTReport]:
     """Check every orientation of every regular graph on n vertices against
-    the necessary conditions; records which condition failed per case."""
+    the necessary conditions, once per symmetry class (decide_orientations);
+    records which condition failed per orientation."""
     reports = []
     for name, k, edges in regular_underlying_graphs(n):
-        for mask, graph in orientations(edges, n):
-            checks = upst_necessary_conditions(graph)
+        for mask, checks in enumerate(decide_orientations(edges, n)):
             verdict = "survives" if checks.all_pass else "ruled-out-exhaustive"
             witness = {"orientation_mask": mask}
             if checks.failure:

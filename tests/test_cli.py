@@ -559,6 +559,22 @@ def test_huge_hypercube_is_refused_before_any_arc(capsys, family):
     assert err == "error: hypercube vertex count 2^81 exceeds limit 4096\n"
 
 
+@pytest.mark.parametrize("flags, dim", [
+    (("star-product", "--m", "1365"), 4098),
+    (("star-product", "--m", "10000000"), 30000003),
+    (("looped-path", "--n", "3", "--m", "1400"), 4200),
+    (("looped-path", "--n", "3", "--m", "5000000"), 15000000),
+])
+def test_oversize_product_is_refused_before_any_factor(capsys, flags, dim):
+    # a dense (m+1)^2 or m^2 factor at the larger m would need hundreds of TiB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--family", *flags)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == f"error: kron output dimension {dim} exceeds limit 4096\n"
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 14.6 TiB for an array",
      "error: out of memory: Unable to allocate 14.6 TiB for an array\n"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -8,14 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qwalk import upst_search
 from qwalk.constructions import (OrientedGraph, oriented_cycle, oriented_k2,
                                  oriented_k3, oriented_to_hermitian,
                                  upst_circulant)
 from qwalk.numtheory import Surd, square_free_part
 from qwalk.transfer import check_periodicity
-from qwalk.upst_search import (NecessaryConditions, charpoly_rule_out,
-                               classify_all, complement_c7_adjacency,
-                               exhaustive_rule_out, nk_table, orientations,
+from qwalk.upst_search import (NecessaryConditions, UPSTReport,
+                               charpoly_rule_out, classify_all,
+                               complement_c7_adjacency, decide_orientations,
+                               exhaustive_rule_out, nk_table,
+                               orientation_classes, orientations,
                                regular_underlying_graphs, sigma_bound_filter,
                                spectrum_candidates, upst_necessary_conditions)
 
@@ -184,6 +188,89 @@ def test_exhaustive_records_failed_condition():
                       for r in exhaustive_rule_out(4))
     assert None not in reasons
     assert sum(reasons.values()) == 80
+
+
+def _per_mask_reports(n):
+    """exhaustive_rule_out without the symmetry reduction: the checker on
+    every orientation."""
+    reports = []
+    for name, k, edges in regular_underlying_graphs(n):
+        for mask, graph in orientations(edges, n):
+            checks = upst_necessary_conditions(graph)
+            verdict = "survives" if checks.all_pass else "ruled-out-exhaustive"
+            witness = {"orientation_mask": mask}
+            if checks.failure:
+                witness["failed_condition"] = checks.failure
+            else:
+                witness["delta"] = checks.delta
+                witness["grid"] = list(checks.grid_coeffs)
+            reports.append(UPSTReport(n, k, name, verdict, witness))
+    return reports
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reduced_search_matches_per_mask_reference(n):
+    assert exhaustive_rule_out(n) == _per_mask_reports(n)
+
+
+def _counting_checker(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return upst_necessary_conditions(graph)
+    monkeypatch.setattr(upst_search, "upst_necessary_conditions", counted)
+    return calls
+
+
+def test_symmetry_class_counts():
+    counts = {name: len(set(orientation_classes(edges, n).tolist()))
+              for n in (3, 4, 5)
+              for name, _, edges in regular_underlying_graphs(n)}
+    assert counts == {"K3": 2, "C4": 4, "K4": 3, "C5": 4, "K5": 10}
+
+
+@pytest.mark.parametrize("n, classes", [(3, 2), (4, 7), (5, 14)])
+def test_checker_runs_once_per_class(monkeypatch, n, classes):
+    calls = _counting_checker(monkeypatch)
+    exhaustive_rule_out(n)
+    assert len(calls) == classes
+    assert len(set(calls)) == classes
+
+
+def _relabelled(graph, p, reverse):
+    return frozenset((p[b], p[a]) if reverse else (p[a], p[b])
+                     for a, b in graph.arcs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_representative_is_a_relabelling_or_reversal(n):
+    # every mask's representative is its orientation under a vertex
+    # permutation, with or without every arc reversed
+    perms = list(itertools.permutations(range(n)))
+    for _, _, edges in regular_underlying_graphs(n):
+        canon = orientation_classes(edges, n).tolist()
+        graphs = dict(orientations(edges, n))
+        for mask, graph in graphs.items():
+            target = graphs[canon[mask]].arcs
+            assert any(_relabelled(graph, p, reverse) == target
+                       for p in perms for reverse in (False, True)), mask
+
+
+def test_asymmetric_graph_pairs_only_reversals(monkeypatch):
+    # the triangle 2-3-5 with the path 2-1-0 and the edge 3-4 hanging off
+    # it has no automorphism but the identity, so reversal is the only
+    # symmetry and each class is {mask, mask ^ full}
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)]
+    full = 2 ** len(edges) - 1
+    canon = orientation_classes(edges, 6).tolist()
+    assert canon == [min(mask, mask ^ full) for mask in range(full + 1)]
+    assert len(set(canon)) == 2 ** (len(edges) - 1)
+    reference = [upst_necessary_conditions(graph)
+                 for _, graph in orientations(edges, 6)]
+    calls = _counting_checker(monkeypatch)
+    assert decide_orientations(edges, 6) == reference
+    assert len(calls) == 2 ** (len(edges) - 1)
 
 
 def test_trace_identity_over_enumerated_orientations():
