@@ -113,8 +113,12 @@ def oriented_k3() -> OrientedGraph:
 
 
 def oriented_cycle(n: int) -> OrientedGraph:
+    """The n-cycle oriented i -> i+1, refused above MAX_KRON_DIM vertices
+    before any arc is made."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    if n > MAX_KRON_DIM:
+        raise DimensionOverflow(f"cycle vertex count {n} exceeds limit {MAX_KRON_DIM}")
     return OrientedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
@@ -193,9 +197,13 @@ def upst_circulant(n: int, alpha, beta, h: int,
                    c: Optional[Sequence[int]] = None) -> Circulant:
     """Hermitian circulant with spectrum theta_j = alpha + beta*(j*h + c_j*n)
     on the Fourier basis; this arithmetic-progression shape forces universal
-    perfect state transfer."""
+    perfect state transfer.  Refused above MAX_KRON_DIM vertices before any
+    eigenvalue or matrix is made."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_KRON_DIM:
+        raise DimensionOverflow(
+            f"circulant vertex count {n} exceeds limit {MAX_KRON_DIM}")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -25,9 +25,9 @@ PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
 PEAK_TIE_TOL = 1e-9
 ALIGN_TOL = 1e-8
-SWEEP_CHUNK_ENTRIES = 1 << 18  # phase-matrix or grid-block entries made at once
+SWEEP_CHUNK_ENTRIES = 1 << 16  # phase-matrix or grid-block entries made at once
 REFINE_TOP = 5  # best grid points always refined by a sweep
-REFINE_ITERS = 60  # golden-section steps per refined peak
+REFINE_ITERS = 60  # most Newton or false-position steps per refined peak
 PGST_SWEEP_T_MAX = 200.0  # sweep window of pgst_verdict's numeric fallback
 PGST_SWEEP_STEPS = 40_001
 CSV_BLOCK_ROWS = 2048  # sweep CSV rows formatted by one % operation
@@ -186,7 +186,7 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
     numerically against PST_FIDELITY_TOL before it is certified.
 
     Numeric mode (no exact carrier, or a failed verification): fidelity
-    sweep over [0, t_max] with golden-section refinement; a refined maximum
+    sweep over [0, t_max] with Newton refinement; a refined maximum
     that clears 1 - PST_FIDELITY_TOL is reported as PST-numeric, anything
     lower as numeric evidence.
     """
@@ -429,126 +429,236 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
 
 @dataclass
 class SweepResult:
-    times: np.ndarray
-    fidelities: np.ndarray
+    """A fidelity sweep on the grid np.linspace(0, t_max, steps): the best
+    refined peak and every refined peak.
+
+    The grid is not stored: times, fidelities and to_csv make it again from
+    the eigenvalues and the coefficients E_r[b, a], bit for bit as the
+    sweep saw it, so a result holds O(d) numbers however large steps is.
+    to_csv writes the grid block by block; times and fidelities return
+    whole arrays.
+    """
+
+    t_max: float
+    steps: int
+    thetas: np.ndarray  # eigenvalues theta_r
+    coeffs: np.ndarray  # E_r[b, a]
     best_time: float
     best_fidelity: float
     refined: list[tuple[float, float]]  # (t, fidelity) per refined peak
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.steps)
+
+    @property
+    def fidelities(self) -> np.ndarray:
+        out = np.empty(self.steps)
+        for lo, fid in self._blocks():
+            out[lo:lo + len(fid)] = fid
+        return out
+
+    def _blocks(self):
+        return _grid_fidelities(self.thetas, self.coeffs,
+                                self.t_max / (self.steps - 1), self.steps)
+
     def to_csv(self, fh) -> None:
         """One "t,fidelity" row per grid point, each value in %.17g."""
         fh.write("t,fidelity\n")
-        rows = np.column_stack((self.times, self.fidelities))
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+        for lo, fid in self._blocks():
+            times = _grid_times(self.t_max, self.steps, np.arange(lo, lo + len(fid)))
+            rows = np.column_stack((times, fid))
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+
+
+def _phase_sums(t, thetas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """exp(-i outer(t, thetas)) @ weights, the phase matrix made in row
+    blocks of at most SWEEP_CHUNK_ENTRIES entries."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    rows = max(1, SWEEP_CHUNK_ENTRIES // len(thetas))
+    if len(t) <= rows:
+        return np.exp(-1j * np.outer(t, thetas)) @ weights
+    return np.concatenate([np.exp(-1j * np.outer(t[lo:lo + rows], thetas)) @ weights
+                           for lo in range(0, len(t), rows)])
 
 
 def transfer_amplitude(dec: SpectralDecomposition, a: int, b: int):
     """Closure t -> U(t)[b, a] = sum_r exp(-i t theta_r) E_r[b, a]."""
     thetas = np.asarray(dec.eigenvalues)
     coeffs = dec.entries(b, a)
-
-    def amp(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-1j * np.outer(t, thetas)) @ coeffs
-
-    return amp
+    return lambda t: _phase_sums(t, thetas, coeffs)
 
 
 def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
                    t_max: float, steps: int) -> SweepResult:
-    """Uniform fidelity grid on [0, t_max], refined by golden-section search
-    and reported at the earliest peak that ties the best; deterministic for
-    fixed arguments.
+    """Uniform fidelity grid on [0, t_max], refined by Newton steps on the
+    derivative and reported at the earliest peak that ties the best;
+    deterministic for fixed arguments.
 
-    Refined are the REFINE_TOP best grid points and every grid peak within
-    slope*spacing/2 of the grid maximum, where slope = sum_r |E_r[b, a]|
+    The grid blocks of _grid_fidelities are consumed as they are made, so
+    a sweep holds O(sqrt(steps)*d + SWEEP_CHUNK_ENTRIES) numbers however
+    large steps is.  While the blocks go by it keeps the running grid
+    maximum, every grid peak within slope*spacing/2 of it (a block's last
+    point waits for the next block's first value) and the REFINE_TOP best
+    grid points (the earliest of equal ones).  slope = sum_r |E_r[b, a]|
     |theta_r - mid| bounds |d/dt U(t)[b, a]| up to a global phase, so no
-    lower grid peak can hide the maximum.  The reported time is the earliest
-    refined time whose fidelity is within PEAK_TIE_TOL of the best one.
+    lower grid peak can hide the maximum.  _refine_peaks refines each kept
+    point, and a point whose refinement falls below it stays as it is.  The
+    reported time is the earliest refined time whose fidelity is within
+    PEAK_TIE_TOL of the best one (at equal times, the higher fidelity).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    amp = transfer_amplitude(dec, a, b)
-    chunk = max(1, SWEEP_CHUNK_ENTRIES // len(dec))
-
-    def fidelity(t):
-        out = np.empty(len(t))
-        for lo in range(0, len(t), chunk):
-            out[lo:lo + chunk] = np.abs(amp(t[lo:lo + chunk]))
-        return out
-
-    times = np.linspace(0.0, t_max, steps)
+    thetas = np.asarray(dec.eigenvalues, dtype=float)
+    coeffs = dec.entries(b, a)
     spacing = t_max / (steps - 1)
-    fid = _grid_fidelities(dec, a, b, spacing, steps)
-    thetas = dec.eigenvalues
-    slope = float(np.sum(np.abs(dec.entries(b, a))
+    slope = float(np.sum(np.abs(coeffs)
                          * np.abs(thetas - (thetas[0] + thetas[-1]) / 2)))
-    near = fid >= fid.max() - slope * spacing / 2
-    near[1:] &= fid[1:] > fid[:-1]
-    near[:-1] &= fid[:-1] >= fid[1:]
+    margin = slope * spacing / 2
     top = min(REFINE_TOP, steps)
-    near[np.argpartition(fid, steps - top)[steps - top:]] = True
-    idx = np.flatnonzero(near)
-    t_ref, f_ref = _golden_max(fidelity, np.maximum(times[idx] - spacing, 0.0),
-                               np.minimum(times[idx] + spacing, t_max), REFINE_ITERS)
-    keep_grid = fid[idx] >= f_ref
-    t_ref = np.where(keep_grid, times[idx], t_ref)
-    f_ref = np.where(keep_grid, fid[idx], f_ref)
+    best, last = -math.inf, -math.inf  # last: the previous block's last value
+    held = None  # that point, (index, value), while it may still be a peak
+    peak_i, peak_f = np.empty(0, dtype=np.int64), np.empty(0)
+    top_i, top_f = np.empty(0, dtype=np.int64), np.empty(0)  # best first
+    for lo, fid in _grid_fidelities(thetas, coeffs, spacing, steps):
+        n = len(fid)
+        best = max(best, float(fid.max()))
+        k = np.flatnonzero(fid >= best - margin)
+        f = fid[k]
+        peak = ((f > np.where(k > 0, fid[k - 1], last))
+                & (f >= fid[np.minimum(k + 1, n - 1)]))
+        new_i, new_f = k[peak] + lo, f[peak]
+        if held is not None and held[1] >= fid[0]:
+            new_i, new_f = np.r_[held[0], new_i], np.r_[held[1], new_f]
+        held = None
+        if len(new_i) and new_i[-1] == lo + n - 1:  # its right neighbour is unseen
+            held = (int(new_i[-1]), float(new_f[-1]))
+            new_i, new_f = new_i[:-1], new_f[:-1]
+        keep = peak_f >= best - margin
+        peak_i = np.concatenate((peak_i[keep], new_i))
+        peak_f = np.concatenate((peak_f[keep], new_f))
+        last = float(fid[-1])
+        j = n - min(top, n)
+        c = np.flatnonzero(fid >= np.partition(fid, j)[j])
+        cand_i, cand_f = np.concatenate((top_i, c + lo)), np.concatenate((top_f, fid[c]))
+        order = np.lexsort((cand_i, -cand_f))[:top]
+        top_i, top_f = cand_i[order], cand_f[order]
+    if held is not None:  # the last grid point: a peak if it rose
+        peak_i, peak_f = np.r_[peak_i, held[0]], np.r_[peak_f, held[1]]
+    keep = peak_f >= best - margin
+    idx, first = np.unique(np.concatenate((peak_i[keep], top_i)), return_index=True)
+    grid_f = np.concatenate((peak_f[keep], top_f))[first]
+    grid_t = _grid_times(t_max, steps, idx)
+    t_ref, f_ref = _refine_peaks(thetas, coeffs, grid_t, spacing, t_max)
+    keep_grid = grid_f >= f_ref
+    t_ref = np.where(keep_grid, grid_t, t_ref)
+    f_ref = np.where(keep_grid, grid_f, f_ref)
     ties = np.flatnonzero(f_ref >= f_ref.max() - PEAK_TIE_TOL)
-    pick = ties[np.argmin(t_ref[ties])]
-    return SweepResult(times, fid, float(t_ref[pick]), float(f_ref[pick]),
-                       list(zip(t_ref.tolist(), f_ref.tolist())))
+    pick = ties[np.lexsort((-f_ref[ties], t_ref[ties]))[0]]
+    return SweepResult(t_max, steps, thetas, coeffs, float(t_ref[pick]),
+                       float(f_ref[pick]), list(zip(t_ref.tolist(), f_ref.tolist())))
 
 
-def _grid_fidelities(dec: SpectralDecomposition, a: int, b: int,
-                     spacing: float, steps: int) -> np.ndarray:
-    """|U(k*spacing)[b, a]| for k = 0, ..., steps - 1.
+def _grid_times(t_max: float, steps: int, k: np.ndarray) -> np.ndarray:
+    """np.linspace(0.0, t_max, steps)[k] for grid indices k, bit for bit."""
+    t = k.astype(float)
+    spacing = t_max / (steps - 1)
+    if spacing:
+        t *= spacing
+    else:  # linspace's order for a spacing that underflows to zero
+        t /= steps - 1
+        t *= t_max
+    t[k == steps - 1] = t_max
+    return t
+
+
+def _grid_fidelities(thetas: np.ndarray, coeffs: np.ndarray,
+                     spacing: float, steps: int):
+    """|U(k*spacing)[b, a]| for k = 0, ..., steps - 1, where coeffs holds
+    E_r[b, a], as consecutive blocks (first index, values).
 
     With K = ceil(sqrt(steps)) and k = j*K + s, U(t_k)[b, a] =
     sum_r (E_r[b, a] exp(-i theta_r j K spacing)) exp(-i theta_r s spacing):
     row j, column s of a (J x d)(d x K) product of two exponential tables,
-    so O((J + K) d) exponentials in place of steps*d.  Rows are multiplied
-    in blocks of at most SWEEP_CHUNK_ENTRIES entries, each written straight
-    into the result.  A phase is off by about |theta_r| t eps in floats,
-    as when exp(-i theta_r t_k) is evaluated directly.
+    so O((J + K) d) exponentials in place of steps*d.  Each block is the
+    product of at most SWEEP_CHUNK_ENTRIES entries' worth of rows.  A phase
+    is off by about |theta_r| t eps in floats, as when exp(-i theta_r t_k)
+    is evaluated directly.
     """
-    thetas = dec.eigenvalues
     width = math.isqrt(steps - 1) + 1  # K = ceil(sqrt(steps))
     rows = -(-steps // width)
     inner = np.exp(-1j * spacing * np.outer(thetas, np.arange(width)))
     outer = np.exp(-1j * (width * spacing) * np.outer(np.arange(rows), thetas))
-    outer *= dec.entries(b, a)
-    fid = np.empty((rows, width))
+    outer *= coeffs
     block = max(1, SWEEP_CHUNK_ENTRIES // width)
     for lo in range(0, rows, block):
-        np.abs(outer[lo:lo + block] @ inner, out=fid[lo:lo + block])
-    return fid.reshape(-1)[:steps]
+        fid = np.abs(outer[lo:lo + block] @ inner).reshape(-1)
+        yield lo * width, fid[:steps - lo * width]
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
-                iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of f on each interval [lo_k, hi_k] at
-    once; f maps an array of times to an array of values."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc > fd  # the maximum lies in [a, d]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        kept = np.where(left, fc, fd)
-        c, d = (np.where(left, b - invphi * (b - a), d),
-                np.where(left, c, a + invphi * (b - a)))
-        fx = f(np.where(left, c, d))
-        fc, fd = np.where(left, fx, kept), np.where(left, kept, fx)
-    mid = (a + b) / 2
-    return mid, f(mid)
+def _refine_peaks(thetas: np.ndarray, coeffs: np.ndarray, t: np.ndarray,
+                  spacing: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each grid time t_k, a maximum of F(t) = |U(t)[b, a]|^2 on
+    [t_k - spacing, t_k + spacing] clipped to [0, t_max], and |U| there.
+
+    With w_r = theta_r - mid and V(t) = sum_r E_r[b, a] exp(-i w_r t),
+    F = |V|^2, F' = 2 Re(conj(V) V') and F'' = 2 (|V'|^2 + Re(conj(V) V'')),
+    where V' and V'' weight the same terms by -i w_r and -w_r^2.  F' at the
+    ends and at t_k picks the half where F' falls from positive to negative,
+    which holds a maximum; Newton steps on F' from t_k find it.  Each step
+    stays inside the bracket that the sign of F' narrows: where Newton
+    would leave it, or F'' >= 0, the step is the bracket's false position
+    (the zero of the chord through F' at its ends).  When the maximum sits
+    at an end, as a transfer time on the grid does, that lands next to it
+    at once, where halving the bracket would take some twenty steps.  Steps
+    stop once Newton moves one unit in the last place or less, or after
+    REFINE_ITERS.  An interval where F' does not change sign that way gives
+    its better endpoint.
+    """
+    w = thetas - (thetas[0] + thetas[-1]) / 2
+    weights = coeffs[:, None] * np.stack((np.ones_like(w), -1j * w, -w * w), axis=1)
+
+    def derivatives(x):
+        v, v1, v2 = _phase_sums(x, w, weights).T
+        return (np.abs(v) ** 2, 2 * (v.conj() * v1).real,
+                2 * (np.abs(v1) ** 2 + (v.conj() * v2).real))
+
+    n = len(t)
+    ends = np.concatenate((np.maximum(t - spacing, 0.0), np.minimum(t + spacing, t_max)))
+    f, d1, d2 = derivatives(np.concatenate((ends, t)))
+    d1_lo, d1_t, d1_hi = d1[:n], d1[2 * n:], d1[n:2 * n]
+    right = (d1_t > 0) & (d1_hi < 0)  # a maximum in [t_k, hi]
+    left = (d1_t < 0) & (d1_lo > 0)  # a maximum in [lo, t_k]
+    x = np.where(f[:n] >= f[n:2 * n], ends[:n], ends[n:])
+    live = np.flatnonzero(right | left)
+    x[live] = t[live]
+    # the bracket [lo, hi] and F' at its ends: g_lo > 0 > g_hi
+    lo, g_lo = np.where(right, t, ends[:n])[live], np.where(right, d1_t, d1_lo)[live]
+    hi, g_hi = np.where(left, t, ends[n:])[live], np.where(left, d1_t, d1_hi)[live]
+    d1, d2 = d1_t[live], d2[2 * n:][live]
+    for _ in range(REFINE_ITERS):
+        xs = x[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xs - d1 / d2
+        xs_new = np.where((d2 < 0) & (newton > lo) & (newton < hi), newton,
+                          lo + (hi - lo) * (g_lo / (g_lo - g_hi)))
+        converged = (d2 < 0) & (np.abs(newton - xs) <= np.spacing(xs))
+        xs_new = np.where(converged, xs, xs_new)
+        x[live] = xs_new
+        moving = np.abs(xs_new - xs) > np.spacing(xs)
+        live, xs_new = live[moving], xs_new[moving]
+        lo, hi, g_lo, g_hi = lo[moving], hi[moving], g_lo[moving], g_hi[moving]
+        if not len(live):
+            break
+        _, d1, d2 = derivatives(xs_new)
+        rises, falls = d1 > 0, d1 < 0
+        lo, g_lo = np.where(rises, xs_new, lo), np.where(rises, d1, g_lo)
+        hi, g_hi = np.where(falls, xs_new, hi), np.where(falls, d1, g_hi)
+    return x, np.abs(_phase_sums(x, thetas, coeffs))
 
 
 def align_exact_spectrum(dec: SpectralDecomposition,

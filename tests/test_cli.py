@@ -575,6 +575,53 @@ def test_oversize_product_is_refused_before_any_factor(capsys, flags, dim):
     assert err == f"error: kron output dimension {dim} exceeds limit 4096\n"
 
 
+@pytest.mark.parametrize("flags, line", [
+    (("oriented-cycle", "--n", "5000000"), "cycle vertex count 5000000"),
+    (("upst-circulant", "--n", "5000000"), "circulant vertex count 5000000"),
+    (("looped-path", "--n", "5000000", "--m", "1"), "circulant vertex count 5000000"),
+])
+def test_oversize_vertex_count_is_refused_before_any_arc_or_matrix(capsys, flags, line):
+    # an n x n matrix at this n would need hundreds of TiB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--family", *flags)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {line} exceeds limit 4096\n"
+
+
+# sha256 of the sweep CSV as the whole-grid sweep wrote it, with the grid
+# made in one block or (chunk) in blocks of a few rows
+SWEEP_CSV_SHA256 = [
+    # 6,000 rows: three CSV_BLOCK_ROWS blocks, small values in exponent form
+    (None, ("oriented-k3", "--from", "0", "--to", "1", "--t-max", "1e-3",
+            "--steps", "6000"),
+     "390ae4f5a31bde2dec4116c03b3372ae841ce297569233cf5711113958c64a25"),
+    # the default grid, 20,001 points
+    (None, ("hypercube", "--m", "1", "--from", "0", "--to", "7"),
+     "ceceb1653ea6b052d04947dbb513532c0b551d8e0432781a4aeeb1049319d2fe"),
+    # blocks of 14 rows of 71 points: 6 grid blocks
+    (1000, ("c4-tensor-k2", "--from", "0", "--to", "3", "--t-max", "50",
+            "--steps", "5001"),
+     "7b78d97055c226bf5d91b3c0249c2fb3d7b730410e3397dd617792a0fde8f39d"),
+    # blocks of 12 rows of 317 points: 27 grid blocks, closed-form spectrum
+    (4096, ("looped-path", "--m", "2", "--from", "3", "--to", "4", "--t-max",
+            "300", "--steps", "100001"),
+     "a733d640fdd57a2b71c906697805629a90c449d55f2b048804b3c6b55ef0a9b0"),
+]
+
+
+@pytest.mark.parametrize("chunk, flags, digest", SWEEP_CSV_SHA256)
+def test_sweep_csv_bytes_pinned(capsys, monkeypatch, chunk, flags, digest):
+    from qwalk import transfer
+    if chunk is not None:
+        monkeypatch.setattr(transfer, "SWEEP_CHUNK_ENTRIES", chunk)
+    code, out, err = run_cli(capsys, "sweep", "--family", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err.startswith("max fidelity ")
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 14.6 TiB for an array",
      "error: out of memory: Unable to allocate 14.6 TiB for an array\n"),

@@ -15,7 +15,8 @@ from qwalk.transfer import (CSV_BLOCK_ROWS, NotProportional, SupportMismatch,
                             certify_pgst, check_periodicity, eigenvalue_support,
                             PEAK_TIE_TOL, fidelity_sweep, pgst_verdict,
                             pst_verdict, solve_phase_congruences,
-                            solve_pst_congruences, strong_cospectrality)
+                            solve_pst_congruences, strong_cospectrality,
+                            transfer_amplitude)
 
 K3 = hermitian_from_entries([[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
 K3_EXACT = [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]
@@ -592,23 +593,90 @@ def test_grid_fidelities_match_direct_amplitude(monkeypatch, n, chunk):
         assert np.max(np.abs(sweep.fidelities[idx] - direct)) <= 1e-11
 
 
-def test_sweep_peak_memory_per_grid_point():
+def test_sweep_peak_memory_does_not_grow_with_steps():
     import tracemalloc
     dec = spectral_decomposition(one_way_family_4(math.sqrt(2)).matrix)
-    steps = 1_000_001
     fidelity_sweep(dec, 0, 2, 5000.0, 1001)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sweep = fidelity_sweep(dec, 0, 2, 5000.0, steps)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert sweep.best_fidelity >= 0.99
-    # times and fidelities (8 bytes a point each), the top-k index array
-    # (8) and the peak mask (1); the product is evaluated in blocks, so it
-    # adds no per-point bytes
-    assert peak <= 28 * steps
+    for steps in (1_000_001, 10_000_001):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep = fidelity_sweep(dec, 0, 2, 5000.0, steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sweep.best_fidelity >= 0.99
+        # one grid block at a time (2^16 entries: the complex product, its
+        # modulus and one partition copy) and two sqrt(steps) x d
+        # exponential tables; nothing is kept per grid point
+        assert peak <= 4 << 20
+
+
+def _whole_grid_kept_points(dec, a, b, fid, spacing, top=5):
+    # the selection rule on the whole grid at once: every grid peak within
+    # slope*spacing/2 of the maximum, and the top best points (earliest of
+    # equal ones)
+    thetas, coeffs = dec.eigenvalues, dec.entries(b, a)
+    slope = float(np.sum(np.abs(coeffs) * np.abs(thetas - (thetas[0] + thetas[-1]) / 2)))
+    near = fid >= fid.max() - slope * spacing / 2
+    near[1:] &= fid[1:] > fid[:-1]
+    near[:-1] &= fid[:-1] >= fid[1:]
+    near[np.lexsort((np.arange(len(fid)), -fid))[:top]] = True
+    return np.flatnonzero(near)
+
+
+@pytest.mark.parametrize("chunk", [None, 64, 1000])
+@pytest.mark.parametrize("case", ["one-way-4", "hypercube", 5, 12])
+def test_streamed_peak_selection_matches_whole_grid_rule(monkeypatch, chunk, case):
+    # with chunk = 64 every grid row is its own block, so peaks and the
+    # top points straddle many block edges
+    from qwalk import transfer
+    if chunk is not None:
+        monkeypatch.setattr(transfer, "SWEEP_CHUNK_ENTRIES", chunk)
+    if case == "one-way-4":
+        dec, a, b, t_max = _grid_cases("one-way-4")
+        steps = 200_001
+    elif case == "hypercube":  # sixteen equal peaks at the odd multiples of pi/2
+        dec = spectral_decomposition(build_family("hypercube", m=3).matrix)
+        a, b, t_max, steps = 5, 122, 100.0, 20_001
+    else:
+        dec, a, b, t_max = _grid_cases(case)
+        steps = 20_001
+    sweep = fidelity_sweep(dec, a, b, t_max, steps)
+    fid = sweep.fidelities
+    kept = _whole_grid_kept_points(dec, a, b, fid, t_max / (steps - 1))
+    assert len(sweep.refined) == len(kept)
+    grid_t = np.linspace(0.0, t_max, steps)[kept]
+    spacing = t_max / (steps - 1)
+    for (t, f), t_k, f_k in zip(sweep.refined, grid_t, fid[kept]):
+        assert abs(t - t_k) <= spacing + 1e-12
+        assert f >= f_k
+
+
+@pytest.mark.parametrize("case", ["hypercube", 5, 12, 32])
+def test_kept_point_at_a_block_edge_is_kept(monkeypatch, case):
+    # the grid cut into blocks so that each kept point in turn ends a
+    # block, starts one, or is a block of its own: the sweep must keep and
+    # refine the same points as on the whole grid
+    from qwalk import transfer
+    if case == "hypercube":  # sixteen equal peaks at the odd multiples of pi/2
+        dec = spectral_decomposition(build_family("hypercube", m=3).matrix)
+        a, b, t_max = 5, 122, 100.0
+    else:
+        dec, a, b, t_max = _grid_cases(case)
+    steps = 20_001
+    whole = fidelity_sweep(dec, a, b, t_max, steps)
+    fid = whole.fidelities
+    kept = _whole_grid_kept_points(dec, a, b, fid, t_max / (steps - 1))
+    for k in kept.tolist():
+        for cuts in ([k + 1], [k], [k, k + 1]):
+            edges = [0, *cuts, steps]
+            monkeypatch.setattr(transfer, "_grid_fidelities", lambda *args: (
+                (lo, fid[lo:hi]) for lo, hi in zip(edges, edges[1:]) if hi > lo))
+            sweep = fidelity_sweep(dec, a, b, t_max, steps)
+            assert sweep.refined == whole.refined
+            assert (sweep.best_time, sweep.best_fidelity) == (
+                whole.best_time, whole.best_fidelity)
 
 
 def test_sweep_reports_earliest_of_equal_peaks():
@@ -617,11 +685,11 @@ def test_sweep_reports_earliest_of_equal_peaks():
     dec = spectral_decomposition(build_family("hypercube", m=3).matrix)
     for a in (0, 5, 77):
         sweep = fidelity_sweep(dec, a, a ^ 127, 50.0, 2001)
-        assert abs(sweep.best_time - math.pi / 2) <= 1e-6
+        assert abs(sweep.best_time - math.pi / 2) <= 1e-12
         assert sweep.best_fidelity >= 1 - 1e-9
         verdict = pst_verdict(dec, a, a ^ 127)
         assert verdict.kind == "PST-numeric"
-        assert abs(verdict.time - math.pi / 2) <= 1e-6
+        assert abs(verdict.time - math.pi / 2) <= 1e-12
 
 
 def test_numeric_pst_on_oriented_cycle_reports_pi_over_2():
@@ -629,7 +697,17 @@ def test_numeric_pst_on_oriented_cycle_reports_pi_over_2():
     verdict = pst_verdict(dec, 0, 2)
     assert verdict.kind == "PST-numeric"
     assert verdict.witness["mode"] == "numeric"
-    assert abs(verdict.time - math.pi / 2) <= 1e-6
+    assert abs(verdict.time - math.pi / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_numeric_pst_on_one_way_8_is_exact_to_rounding(b):
+    # PST 0 -> b at t = b, found to rounding
+    bundle = build_family("one-way-8")
+    verdict = pst_verdict(bundle.decomposition(), 0, b, bundle.exact_spectrum)
+    assert verdict.kind == "PST-numeric"
+    assert abs(verdict.time - b) <= 1e-12
+    assert verdict.fidelity >= 1 - 1e-12
 
 
 def test_earliest_peak_never_below_grid_argmax_rule():
@@ -647,6 +725,31 @@ def test_earliest_peak_never_below_grid_argmax_rule():
         assert sweep.best_fidelity >= float(np.max(sweep.fidelities))
         assert all(f <= sweep.best_fidelity + PEAK_TIE_TOL
                    for t, f in sweep.refined if t < sweep.best_time)
+
+
+def _random_dec(rng, n):
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return spectral_decomposition(hermitian_from_entries((raw + raw.conj().T) / 2))
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 21, 34, 64])
+def test_newton_refinement_against_golden_section_oracle(n):
+    # an interior peak, the return peak of a vertex to itself at t = 0, and
+    # a window that ends while the fidelity still rises
+    rng = np.random.default_rng(4000 + n)
+    dec = _random_dec(rng, n)
+    a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+    for src, dst, t_max, steps, at in ((a, b, 100.0, 20_001, None),
+                                       (a, a, 20.0, 2001, 0.0),
+                                       (a, b, 1e-3, 101, 1e-3)):
+        sweep = fidelity_sweep(dec, src, dst, t_max, steps)
+        reference = _grid_argmax_rule(dec, src, dst, t_max, steps)
+        assert max(f for _, f in sweep.refined) >= reference - 1e-12
+        assert sweep.best_fidelity >= float(np.max(sweep.fidelities))
+        if at is not None:
+            assert abs(sweep.best_time - at) <= 1e-12
+            assert abs(sweep.best_fidelity
+                       - abs(transfer_amplitude(dec, src, dst)(at)[0])) <= 1e-12
 
 
 def test_not_proportional_witness_ignores_noise_angle():
