@@ -17,10 +17,9 @@ from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         charpoly_mod2, float_relation_probe, relation_lattice,
                         square_free_part)
 from .star import StarVerdict, classify_star_m, star_support_surds
-from .transfer import (QuarrelSet, TransferVerdict, align_exact_spectrum,
-                       certify_pgst, check_periodicity, eigenvalue_support,
-                       fidelity_sweep, pgst_verdict, pst_verdict,
-                       strong_cospectrality)
+from .transfer import (QuarrelSet, TransferVerdict, certify_pgst,
+                       check_periodicity, eigenvalue_support, fidelity_sweep,
+                       pgst_verdict, pst_verdict, strong_cospectrality)
 from .upst_search import (UPSTReport, charpoly_rule_out, exhaustive_rule_out,
                           nk_table, sigma_bound_filter, spectrum_candidates,
                           upst_necessary_conditions)

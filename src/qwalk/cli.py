@@ -144,12 +144,12 @@ def _transfer_check(args, decide) -> int:
 
 def cmd_pst_check(args) -> int:
     return _transfer_check(args, lambda bundle, dec: pst_verdict(
-        dec, args.frm, args.to, bundle.exact_spectrum, args.t_max, args.steps))
+        dec, args.frm, args.to, args.t_max, args.steps))
 
 
 def cmd_pgst_check(args) -> int:
     return _transfer_check(args, lambda bundle, dec: pgst_verdict(
-        dec, args.frm, args.to, bundle.exact_spectrum, bundle.lattice))
+        dec, args.frm, args.to, bundle.lattice))
 
 
 def cmd_sweep(args) -> int:

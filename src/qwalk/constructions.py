@@ -19,7 +19,7 @@ from .linalg import (DEFAULT_CLUSTER_TOL, MAX_KRON_DIM, DimensionOverflow,
                      hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
-from .star import star_support_surds
+from .star import star_pair
 
 ODD_INTEGER_TOL = 1e-8  # c4_tensor_construction's base spectrum check
 
@@ -51,12 +51,11 @@ class NonHermitianResult(RuntimeError):
 @dataclass
 class FamilyBundle:
     """A built family: matrix plus whatever exact data the family affords:
-    its eigenvalues as surds in any order, its closed-form spectral
-    decomposition, or a lattice holding every integer relation among the
-    eigenvalues of that decomposition, in its order (a superset will do)."""
+    its closed-form spectral decomposition, labelled with exact eigenvalues
+    where it knows them, or a lattice holding every integer relation among
+    that decomposition's eigenvalues, in its order (a superset will do)."""
 
     matrix: HermitianMatrix
-    exact_spectrum: Optional[list[Surd]] = None
     notes: str = ""
     lattice: Optional[RelationLattice] = None
     spectrum: Optional[SpectralDecomposition] = None
@@ -240,37 +239,38 @@ def rooted_star_product(h_x: HermitianMatrix, m: int) -> HermitianMatrix:
     return hermitian_from_entries(kron(unit, h_x.array) + kron(star, np.eye(n)))
 
 
-def rooted_star_spectrum(h_x: HermitianMatrix, m: int) -> SpectralDecomposition:
-    """Closed-form spectral decomposition of rooted_star_product(h_x, m).
+def rooted_star_spectrum(base: SpectralDecomposition, m: int) -> SpectralDecomposition:
+    """Closed-form spectral decomposition of rooted_star_product(h_x, m),
+    from h_x's decomposition base as closed_form labels it.
 
-    Each eigenvalue theta_r of X with eigenvector block V_r gives
-    lambda(+/-) = (theta_r +/- sqrt(theta_r^2 + 4m))/2 with block
-    kron(w/|w|, V_r), w = (lambda, 1, ..., 1); for m > 1, eigenvalue 0 has
-    block kron((0, h), I_n) over a sum-zero (Helmert) basis h of R^m.
-    lambda(-) < 0 < lambda(+), both growing strictly with theta_r over the
-    separated clusters of X: the eigenvalues are distinct, sorted ascending."""
+    Each eigenvalue theta_r = c*sqrt(d) of X (c rational) with eigenvector
+    block V_r gives the eigenvalues lambda = (theta_r +/- sqrt(theta_r^2 +
+    4m))/2 of star_pair with block kron(w/|w|, V_r), w = (lambda, 1, ..., 1); for m > 1,
+    eigenvalue 0 has block kron((0, h), I_n) over a sum-zero (Helmert)
+    basis h of R^m.  lambda(-) < 0 < lambda(+), both growing with theta_r."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    n = h_x.dim
-    dec = spectral_decomposition(h_x)
-    blocks = []
-    for r, theta in enumerate(dec.eigenvalues):
-        root = math.sqrt(theta * theta + 4 * m)
-        for lam in ((theta - root) / 2, (theta + root) / 2):
+    n = base.dim
+    labels, blocks = [], []
+    for r, theta in enumerate(base.exact):
+        d = max(theta.radical_terms, default=1)
+        c = theta.ratio(Surd.sqrt(d))  # theta = c*sqrt(d)
+        if c is None:
+            raise ValueError(f"no star pair for the base eigenvalue {theta!r}")
+        for lam in star_pair(d, c, m):
             w = np.ones((m + 1, 1))
-            w[0, 0] = lam
-            blocks.append((lam, np.kron(w / np.linalg.norm(w), dec.block(r))))
+            w[0, 0] = float(lam)
+            labels.append(lam)
+            blocks.append(np.kron(w / np.linalg.norm(w), base.block(r)))
     if m > 1:
         helmert = np.zeros((m + 1, m - 1))
         for k in range(1, m):
             helmert[1:k + 1, k - 1] = 1.0
             helmert[k + 1, k - 1] = -k
             helmert[:, k - 1] /= math.sqrt(k * (k + 1))
-        blocks.append((0.0, np.kron(helmert, np.eye(n))))
-    blocks.sort(key=lambda block: block[0])
-    return SpectralDecomposition(
-        [lam for lam, _ in blocks], np.hstack([v for _, v in blocks]),
-        [v.shape[1] for _, v in blocks])
+        labels.append(Surd(0))
+        blocks.append(np.kron(helmert, np.eye(n)))
+    return SpectralDecomposition.closed_form(labels, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +386,9 @@ def one_way_family_4(param: float = math.sqrt(2)) -> FamilyBundle:
             f"P D P* and the closed form differ by {err:.3e}")
     tag = Transcendental("lambda", lam)
     lam_surd, notes = _parameter_surd(lam, tag)
-    spectrum = [Surd(0), Surd.symbol(PI), lam_surd,
-                lam_surd + Surd.symbol(PI)]
-    return FamilyBundle(hermitian_from_entries(closed), spectrum, notes)
+    labels = [Surd(0), Surd.symbol(PI), lam_surd, lam_surd + Surd.symbol(PI)]
+    return FamilyBundle(hermitian_from_entries(closed), notes, spectrum=(
+        SpectralDecomposition.closed_form(labels, np.hsplit(p, 4))))
 
 
 def one_way_family_8(param: float = math.sqrt(2)) -> FamilyBundle:
@@ -419,9 +419,10 @@ def one_way_family_8(param: float = math.sqrt(2)) -> FamilyBundle:
     tag = Transcendental("theta", theta)
     th, notes = _parameter_surd(theta, tag)
     half = Surd.symbol(PI, Fraction(1, 2))
-    spectrum = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
-                half, half * 3, th + half, th + half * 3]
-    return FamilyBundle(hermitian_from_entries(h), spectrum, notes)
+    labels = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
+              half, half * 3, th + half, th + half * 3]
+    return FamilyBundle(hermitian_from_entries(h), notes, spectrum=(
+        SpectralDecomposition.closed_form(labels, np.hsplit(p, 8))))
 
 
 def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
@@ -447,18 +448,33 @@ def _evident_fraction(value: float, unit: float) -> Optional[Fraction]:
 # The family table
 # ---------------------------------------------------------------------------
 
+def _oriented_k2_family() -> FamilyBundle:
+    """Eigenvalues +1 and -1 on (1, -i)/sqrt(2) and (1, i)/sqrt(2)."""
+    vectors = np.array([[1, 1], [-1j, 1j]]) / math.sqrt(2)
+    return FamilyBundle(oriented_to_hermitian(oriented_k2()), spectrum=(
+        SpectralDecomposition.closed_form([Surd(1), Surd(-1)], np.hsplit(vectors, 2))))
+
+
+def _oriented_k3_family() -> FamilyBundle:
+    """A circulant: eigenvalues 0, sqrt(3), -sqrt(3) on Fourier vectors 0, 1, 2."""
+    labels = [Surd(0), Surd.sqrt(3), Surd.sqrt(3, -1)]
+    return FamilyBundle(oriented_to_hermitian(oriented_k3()), spectrum=(
+        SpectralDecomposition.closed_form(labels, np.hsplit(dft_matrix(3), 3))))
+
+
 def _upst_circulant_family(n, alpha=0, beta=1, h=1, c=None) -> FamilyBundle:
-    circ = upst_circulant(int(n), alpha, beta, int(h), c)
-    return FamilyBundle(circ.matrix, [Surd(t) for t in circ.thetas])
+    n = int(n)
+    circ = upst_circulant(n, alpha, beta, int(h), c)
+    return FamilyBundle(circ.matrix, spectrum=SpectralDecomposition.closed_form(
+        [Surd(t) for t in circ.thetas], np.hsplit(dft_matrix(n), n)))
 
 
 def _star_product_family(m) -> FamilyBundle:
     """The oriented triangle with an m-star at every vertex."""
     m = int(m)
-    base = oriented_to_hermitian(oriented_k3())
-    return FamilyBundle(rooted_star_product(base, m),
-                        star_support_surds(m)[0] + [Surd(0)],
-                        spectrum=rooted_star_spectrum(base, m))
+    base = _oriented_k3_family()
+    return FamilyBundle(rooted_star_product(base.matrix, m),
+                        spectrum=rooted_star_spectrum(base.spectrum, m))
 
 
 def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
@@ -484,11 +500,8 @@ def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
 # Each family's builder; its keyword parameters and their defaults are the
 # family's parameters.
 FAMILIES: dict[str, Callable[..., FamilyBundle]] = {
-    "oriented_k2": lambda: FamilyBundle(
-        oriented_to_hermitian(oriented_k2()), [Surd(-1), Surd(1)]),
-    "oriented_k3": lambda: FamilyBundle(
-        oriented_to_hermitian(oriented_k3()),
-        [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]),
+    "oriented_k2": _oriented_k2_family,
+    "oriented_k3": _oriented_k3_family,
     "oriented_cycle": lambda n: FamilyBundle(
         oriented_to_hermitian(oriented_cycle(int(n)))),
     "hypercube": lambda m=0: FamilyBundle(

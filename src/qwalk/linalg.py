@@ -119,9 +119,12 @@ def hermitian_from_entries(entries) -> HermitianMatrix:
 class SpectralDecomposition:
     """H = sum_r theta_r E_r with E_r = V_r V_r^*: the distinct eigenvalues
     theta_r, ascending, and the orthonormal eigenvector matrix V whose
-    consecutive column blocks V_r have the multiplicities as widths."""
+    consecutive column blocks V_r have the multiplicities as widths.
+    exact holds theta_r as an exact value (a Surd) for each r when the
+    decomposition was built by closed_form, else None."""
 
     def __init__(self, eigenvalues, vectors, multiplicities):
+        self.exact = None
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.vectors = np.array(vectors, dtype=complex)
         self.vectors.setflags(write=False)
@@ -131,6 +134,26 @@ class SpectralDecomposition:
                 or self.vectors.shape != (self.offsets[-1],) * 2):
             raise ValueError("need a square eigenvector matrix and one "
                              "positive multiplicity per eigenvalue")
+
+    @classmethod
+    def closed_form(cls, labels, blocks) -> "SpectralDecomposition":
+        """The columns of blocks[k] are orthonormal eigenvectors for the
+        exact eigenvalue labels[k].  Blocks with equal labels are merged and
+        orthonormalized, blocks run in ascending order and theta_r =
+        float(label); validate's reconstruction check against the matrix is
+        what proves the labels."""
+        merged: dict = {}
+        for label, block in zip(labels, blocks):
+            merged.setdefault(label, []).append(np.asarray(block, dtype=complex))
+        exact = sorted(merged, key=float)
+        thetas = [float(label) for label in exact]
+        if any(b <= a for a, b in zip(thetas, thetas[1:])):
+            raise ValueError("distinct exact eigenvalues round to one float")
+        blocks = [np.linalg.qr(np.hstack(merged[v]))[0] if len(merged[v]) > 1
+                  else merged[v][0] for v in exact]
+        dec = cls(thetas, np.hstack(blocks), [v.shape[1] for v in blocks])
+        dec.exact = exact
+        return dec
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numtheory import Surd
+from .numtheory import Rational, Surd
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,27 @@ def classify_star_m(m: int) -> StarVerdict:
     return StarVerdict(m, "none", False, s=s, h=hq)
 
 
+def star_pair(d: int, c: Rational, m: int) -> tuple[Surd, Surd]:
+    """The eigenvalues (theta +/- sqrt(theta^2 + 4m))/2 that a base
+    eigenvalue theta = c*sqrt(d) gives the m-star rooted product."""
+    c = Fraction(c)
+    half_root = Surd.sqrt(c.numerator ** 2 * d + 4 * m * c.denominator ** 2,
+                          Fraction(1, 2 * c.denominator))
+    half = Surd.sqrt(d, c / 2)
+    return half + half_root, half - half_root
+
+
 def star_support_surds(m: int) -> tuple[list[Surd], list[Fraction]]:
     """Exact eigenvalue support of a non-pendant vertex in the m-star rooted
     triangle, with the quarrels as fractions of a full turn.
 
-    The six support values are +-sqrt(m) and (+-sqrt(3) +- sqrt(3+4m))/2
-    (normalized surds); the quarrels between consecutive non-pendant
-    vertices are 0, 0, 1/3, 1/3, -1/3, -1/3 turns."""
+    The six support values are the star pairs of the triangle's
+    eigenvalues c*sqrt(3), c = 0, 1, -1: +-sqrt(m) and
+    (+-sqrt(3) +- sqrt(3+4m))/2; the quarrels between consecutive
+    non-pendant vertices are 0, 0, 1/3, 1/3, -1/3, -1/3 turns."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    rm = Surd.sqrt(m)
-    r3 = Surd.sqrt(3)
-    rq = Surd.sqrt(3 + 4 * m)
-    values = [rm, -rm,
-              (r3 + rq) / 2, (r3 - rq) / 2,
-              (-r3 + rq) / 2, (-r3 - rq) / 2]
+    values = [lam for c in (0, 1, -1) for lam in star_pair(3, c, m)]
     third = Fraction(1, 3)
     turns = [Fraction(0), Fraction(0), third, third,
              (-third) % 1, (-third) % 1]

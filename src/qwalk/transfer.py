@@ -24,7 +24,6 @@ SUPPORT_TOL = 1e-9
 PROPORTIONALITY_TOL = 1e-8
 PST_FIDELITY_TOL = 1e-8
 PEAK_TIE_TOL = 1e-9
-ALIGN_TOL = 1e-8
 SWEEP_CHUNK_ENTRIES = 1 << 16  # phase-matrix or grid-block entries made at once
 REFINE_TOP = 5  # best grid points always refined by a sweep
 REFINE_ITERS = 60  # most Newton or false-position steps per refined peak
@@ -172,16 +171,14 @@ def _jsonable(obj):
 
 
 def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                exact: Optional[Sequence[Surd]] = None,
                 t_max: Optional[float] = None,
                 steps: Optional[int] = None) -> TransferVerdict:
-    """Decide perfect state transfer from a to b.  exact, the exact
-    spectrum in any order, is aligned with dec first; a strong cospectrality
+    """Decide perfect state transfer from a to b.  A strong cospectrality
     refusal is certified absence (a necessary condition fails).
 
-    Exact mode (available when the exact spectrum covers the support with
-    distinct symbol-free surds and every quarrel is a rational multiple of
-    2*pi): solve_pst_congruences decides the phase condition exactly.  No
+    Exact mode (available when dec carries exact labels, symbol-free on
+    the support, and every quarrel is a rational multiple of 2*pi):
+    solve_pst_congruences decides the phase condition exactly.  No
     solution is certified absence; the minimal solution tau is verified
     numerically against PST_FIDELITY_TOL before it is certified.
 
@@ -190,17 +187,14 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
     that clears 1 - PST_FIDELITY_TOL is reported as PST-numeric, anything
     lower as numeric evidence.
     """
-    if exact is not None:
-        exact = align_exact_spectrum(dec, exact)
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
         return _refusal(exc)
     sup, turns = quarrels.support, quarrels.turns
-    if len(sup) >= 2 and exact is not None and turns is not None:
-        values = [exact[r] for r in sup]
-        if (all(isinstance(v, Surd) and not v.has_symbols for v in values)
-                and _strictly_ascending(values)):
+    if len(sup) >= 2 and dec.exact is not None and turns is not None:
+        values = [dec.exact[r] for r in sup]
+        if not any(v.has_symbols for v in values):
             x, witness = solve_pst_congruences(values, turns)
             if x is None:
                 return TransferVerdict(
@@ -236,10 +230,6 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
         notes="no PST found in the sweep window; max fidelity reported")
 
 
-def _strictly_ascending(values: Sequence[Surd]) -> bool:
-    return all(float(w - v) > 0 for v, w in zip(values, values[1:]))
-
-
 def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
     """Decide exactly whether the phase condition of perfect state transfer
     has a solution tau > 0, and find the least one.
@@ -258,7 +248,7 @@ def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
     """
     if len(values) != len(turns) or len(values) < 2:
         raise ValueError("need at least two support values, one turn each")
-    if not _strictly_ascending(values):
+    if any(float(w - v) <= 0 for v, w in zip(values, values[1:])):
         raise ValueError("support values must be strictly ascending")
     ratios, witness = _ratio_condition(values)
     if ratios is None:
@@ -389,15 +379,12 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
 
 
 def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                 exact: Optional[Sequence[Surd]] = None,
                  lattice: Optional[RelationLattice] = None) -> TransferVerdict:
     """Decide pretty good state transfer from a to b: strong cospectrality,
-    then the exact Kronecker check (certify_pgst) when the exact spectrum
-    (in any order; aligned first) or a relation lattice of the support's
-    dimension is given and every quarrel is a recognized rational turn,
-    else numeric evidence from a sweep over [0, PGST_SWEEP_T_MAX]."""
-    if exact is not None:
-        exact = align_exact_spectrum(dec, exact)
+    then the exact Kronecker check (certify_pgst) when dec carries exact
+    labels or a relation lattice of the support's dimension is given and
+    every quarrel is a recognized rational turn, else numeric evidence
+    from a sweep over [0, PGST_SWEEP_T_MAX]."""
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
@@ -408,13 +395,13 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
         reason = (f"relation lattice has dimension {lattice.dim} but pair "
                   f"({a}, {b}) has {len(support)} eigenvalues with support "
                   f"norm above {SUPPORT_TOL:g}")
-    elif exact is None and lattice is None:
+    elif dec.exact is None and lattice is None:
         reason = "no exact spectrum or relation lattice supplied"
     elif turns is None:
         reason = (f"quarrels of pair ({a}, {b}) are not all recognized "
                   "rational multiples of 2*pi")
     else:
-        values = None if exact is None else [exact[r] for r in support]
+        values = None if dec.exact is None else [dec.exact[r] for r in support]
         return certify_pgst(values, turns, lattice)
     sweep = fidelity_sweep(dec, a, b, PGST_SWEEP_T_MAX, PGST_SWEEP_STEPS)
     return TransferVerdict(
@@ -659,21 +646,3 @@ def _refine_peaks(thetas: np.ndarray, coeffs: np.ndarray, t: np.ndarray,
         lo, g_lo = np.where(rises, xs_new, lo), np.where(rises, d1, g_lo)
         hi, g_hi = np.where(falls, xs_new, hi), np.where(falls, d1, g_hi)
     return x, np.abs(_phase_sums(x, thetas, coeffs))
-
-
-def align_exact_spectrum(dec: SpectralDecomposition,
-                         values: Sequence[Surd]) -> list[Surd]:
-    """Match each decomposition eigenvalue to the closest exact value,
-    verifying agreement within ALIGN_TOL; the result is indexable by the
-    decomposition's eigenvalue index."""
-    floats = [float(v) for v in values]
-    out = []
-    for theta in dec.eigenvalues:
-        errs = [abs(float(theta) - f) for f in floats]
-        best = min(range(len(floats)), key=errs.__getitem__)
-        if errs[best] > ALIGN_TOL:
-            raise ValueError(
-                f"eigenvalue {theta} has no exact counterpart within {ALIGN_TOL:.1e}")
-        out.append(values[best])
-    return out
-

@@ -258,15 +258,15 @@ def test_missing_input_is_analysis_failure(capsys):
 
 def test_warnings_are_one_stderr_line_each(capsys):
     # under pytest's error filter a warning would otherwise raise; a second
-    # call in the same process shows it again.  oriented-k3 is eigensolved
-    # (gaps sqrt(3), within 10x --tol 0.5)
-    argv = ("pst-check", "--family", "oriented-k3",
+    # call in the same process shows it again.  hypercube --m 0 is
+    # eigensolved (gap 2, within 10x --tol 0.5)
+    argv = ("pst-check", "--family", "hypercube", "--m", "0",
             "--from", "0", "--to", "1", "--tol", "0.5")
     for _ in range(2):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["kind"] == "PST-certified"
-        assert err == ("warning: 2 eigenvalue gap(s) within 10x cluster_tol; "
+        assert json.loads(out)["kind"] == "PST-numeric"
+        assert err == ("warning: 1 eigenvalue gap(s) within 10x cluster_tol; "
                        "clustering may be ambiguous\n")
 
 
@@ -593,30 +593,35 @@ def test_oversize_vertex_count_is_refused_before_any_arc_or_matrix(capsys, flags
 # sha256 of the sweep CSV as the whole-grid sweep wrote it, with the grid
 # made in one block or (chunk) in blocks of a few rows
 SWEEP_CSV_SHA256 = [
-    # 6,000 rows: three CSV_BLOCK_ROWS blocks, small values in exponent form
-    (None, ("oriented-k3", "--from", "0", "--to", "1", "--t-max", "1e-3",
-            "--steps", "6000"),
+    # 6,000 rows: three CSV_BLOCK_ROWS blocks, small values in exponent
+    # form; the oriented-k3 matrix, eigensolved
+    (None, ("--matrix", "oriented-k3.json", "--from", "0", "--to", "1",
+            "--t-max", "1e-3", "--steps", "6000"),
      "390ae4f5a31bde2dec4116c03b3372ae841ce297569233cf5711113958c64a25"),
     # the default grid, 20,001 points
-    (None, ("hypercube", "--m", "1", "--from", "0", "--to", "7"),
+    (None, ("--family", "hypercube", "--m", "1", "--from", "0", "--to", "7"),
      "ceceb1653ea6b052d04947dbb513532c0b551d8e0432781a4aeeb1049319d2fe"),
     # blocks of 14 rows of 71 points: 6 grid blocks
-    (1000, ("c4-tensor-k2", "--from", "0", "--to", "3", "--t-max", "50",
-            "--steps", "5001"),
+    (1000, ("--family", "c4-tensor-k2", "--from", "0", "--to", "3", "--t-max",
+            "50", "--steps", "5001"),
      "7b78d97055c226bf5d91b3c0249c2fb3d7b730410e3397dd617792a0fde8f39d"),
     # blocks of 12 rows of 317 points: 27 grid blocks, closed-form spectrum
-    (4096, ("looped-path", "--m", "2", "--from", "3", "--to", "4", "--t-max",
-            "300", "--steps", "100001"),
+    (4096, ("--family", "looped-path", "--m", "2", "--from", "3", "--to", "4",
+            "--t-max", "300", "--steps", "100001"),
      "a733d640fdd57a2b71c906697805629a90c449d55f2b048804b3c6b55ef0a9b0"),
 ]
 
 
 @pytest.mark.parametrize("chunk, flags, digest", SWEEP_CSV_SHA256)
-def test_sweep_csv_bytes_pinned(capsys, monkeypatch, chunk, flags, digest):
+def test_sweep_csv_bytes_pinned(capsys, monkeypatch, tmp_path, chunk, flags, digest):
     from qwalk import transfer
+    from qwalk.constructions import build_family
     if chunk is not None:
         monkeypatch.setattr(transfer, "SWEEP_CHUNK_ENTRIES", chunk)
-    code, out, err = run_cli(capsys, "sweep", "--family", *flags)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "oriented-k3.json").write_text(
+        json.dumps(build_family("oriented-k3").matrix.to_json()))
+    code, out, err = run_cli(capsys, "sweep", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err.startswith("max fidelity ")

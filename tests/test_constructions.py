@@ -19,11 +19,12 @@ from qwalk.constructions import (FAMILIES, BadFamilyParameters, Circulant,
                                  rooted_looped_path_product,
                                  rooted_star_product, rooted_star_spectrum,
                                  upst_circulant)
-from qwalk.linalg import (ClusterAmbiguityWarning, EigensolverFailure,
+from qwalk.linalg import (EigensolverFailure, SpectralDecomposition,
                           hermitian_from_entries,
                           spectral_decomposition, transition_matrix)
-from qwalk.numtheory import Surd
-from qwalk.transfer import check_periodicity, eigenvalue_support, strong_cospectrality
+from qwalk.numtheory import PI, Surd, Transcendental
+from qwalk.transfer import (check_periodicity, eigenvalue_support, pgst_verdict,
+                            strong_cospectrality)
 
 
 # --- oriented graphs ------------------------------------------------------------
@@ -183,9 +184,13 @@ def test_circulant_detection():
 
 # --- rooted star product ---------------------------------------------------------------
 
+def k3_closed_form():
+    return build_family("oriented-k3").spectrum
+
+
 def test_star_product_m1_spectrum_formula():
     base = oriented_to_hermitian(oriented_k3())
-    closed = rooted_star_spectrum(base, 1)
+    closed = rooted_star_spectrum(k3_closed_form(), 1)
     expected = sorted([1.0, -1.0,
                        (math.sqrt(3) + math.sqrt(7)) / 2,
                        (math.sqrt(3) - math.sqrt(7)) / 2,
@@ -201,7 +206,7 @@ def test_star_product_m1_spectrum_formula():
 def test_star_product_reconstruction_and_zero_multiplicity():
     base = oriented_to_hermitian(oriented_k3())
     product = rooted_star_product(base, 3)
-    closed = rooted_star_spectrum(base, 3)
+    closed = rooted_star_spectrum(k3_closed_form(), 3)
     closed.validate(product)
     assert np.max(np.abs(closed.matrix() - product.array)) <= 1e-8
     zero = int(np.argmin(np.abs(closed.eigenvalues)))
@@ -211,7 +216,12 @@ def test_star_product_reconstruction_and_zero_multiplicity():
 
 def test_star_product_single_vertex_base():
     base = hermitian_from_entries([[0]])
-    assert np.allclose(rooted_star_spectrum(base, 1).eigenvalues, [-1.0, 1.0])
+    closed = rooted_star_spectrum(SpectralDecomposition.closed_form([Surd(0)], [[[1]]]), 1)
+    assert np.allclose(closed.eigenvalues, [-1.0, 1.0])
+    assert closed.exact == [Surd(-1), Surd(1)]
+    # a base eigenvalue outside c*sqrt(d) has no star pair in the carrier
+    with pytest.raises(ValueError, match="no star pair"):
+        rooted_star_spectrum(one_way_family_4().spectrum, 1)
     dec = spectral_decomposition(rooted_star_product(base, 1))
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
@@ -311,21 +321,35 @@ def test_looped_path_refuses_a_repeated_base_eigenvalue():
 
 def test_one_way_4_closed_form_assembly():
     fam = one_way_family_4(math.sqrt(2))
-    # the exact spectrum is the matrix's, exact transfer at t = 1
+    # the exact labels are the matrix's eigenvalues, exact transfer at t = 1
     dec = spectral_decomposition(fam.matrix)
-    exact = sorted(float(value) for value in fam.exact_spectrum)
+    exact = [float(value) for value in fam.decomposition().exact]
     assert np.max(np.abs(dec.eigenvalues - exact)) < 1e-12
     u = transition_matrix(dec, 1.0)
     assert abs(u[0, 2] - 1) <= 1e-10
-    periodic, witness = check_periodicity(fam.exact_spectrum)
-    assert not periodic and "lambda" in witness["numerator"]
+    periodic, witness = check_periodicity(fam.spectrum.exact)
+    assert not periodic and "lambda" in witness["denominator"]
 
 
 def test_one_way_4_degenerate_parameter_reported():
     fam = one_way_family_4(math.pi)
     assert "degenerate" in fam.notes
-    periodic, _ = check_periodicity(fam.exact_spectrum)
+    periodic, _ = check_periodicity(fam.spectrum.exact)
     assert periodic
+
+
+def test_one_way_4_keeps_eigenvalues_the_eigensolve_merges():
+    # lambda = pi + 1e-10 is not an evident multiple of pi: four simple
+    # labelled eigenvalues, where the eigensolve's clustering sees [1, 2, 1]
+    fam = one_way_family_4(3.1415926536897931)
+    assert spectral_decomposition(fam.matrix).multiplicities == [1, 2, 1]
+    dec = fam.decomposition()
+    lam = Surd.symbol(Transcendental("lambda", 3.1415926536897931))
+    assert dec.multiplicities == [1, 1, 1, 1]
+    assert dec.exact == [Surd(0), Surd.symbol(PI), lam, lam + Surd.symbol(PI)]
+    verdict = pgst_verdict(dec, 0, 2)
+    assert verdict.witness["mode"] == "exact"
+    assert verdict.witness["generators"] == [[1, 0, 0, 0], [0, 1, 1, -1]]
 
 
 def test_one_way_8_transfer_chain():
@@ -335,7 +359,7 @@ def test_one_way_8_transfer_chain():
         assert abs(transition_matrix(dec, t)[tgt, 0]) >= 1 - 1e-8
     for v in range(8):
         assert len(eigenvalue_support(dec, v)) == 8
-    periodic, _ = check_periodicity(fam.exact_spectrum)
+    periodic, _ = check_periodicity(fam.spectrum.exact)
     assert not periodic
 
 
@@ -343,7 +367,7 @@ def test_one_way_8_transfer_chain():
 
 def test_build_family_names():
     assert build_family("oriented-k3").matrix.dim == 3
-    assert build_family("oriented_k2").exact_spectrum is not None
+    assert build_family("oriented_k2").spectrum.exact == [Surd(-1), Surd(1)]
     assert build_family("hypercube", m=1).matrix.dim == 8
     assert build_family("c4_tensor_k2").matrix.dim == 8
     assert build_family("star_product", m=2).matrix.dim == 9
@@ -357,14 +381,21 @@ def _required_parameters(name):
             if p.default is p.empty]
 
 
+CLOSED_FORMS = ("oriented_k2", "oriented_k3", "upst_circulant", "star_product",
+                "looped_path", "one_way_4", "one_way_8")
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_checks_its_parameter_list(name):
     required = _required_parameters(name)
     bundle = build_family(name, **{p: 3 for p in required})
-    # only the looped-path family carries a relation lattice, and only it
-    # and the star product a closed-form spectrum
+    # only the looped-path family carries a relation lattice; the families
+    # with an exact spectrum carry it as a labelled closed form, and the
+    # looped-path family an unlabelled one
     assert (bundle.lattice is not None) == (name == "looped_path")
-    assert (bundle.spectrum is not None) == (name in ("looped_path", "star_product"))
+    assert (bundle.spectrum is not None) == (name in CLOSED_FORMS)
+    if bundle.spectrum is not None:
+        assert (bundle.spectrum.exact is None) == (name == "looped_path")
     for missing in required:
         params = {p: 3 for p in required if p != missing}
         with pytest.raises(BadFamilyParameters) as err:
@@ -385,20 +416,61 @@ def test_only_looped_path_carries_a_lattice():
     assert rational.lattice is None and "is rational" in rational.notes
 
 
+@pytest.mark.parametrize("name, params, multiplicities", [
+    ("oriented-k2", {}, [1, 1]),
+    ("oriented-k3", {}, [1, 1, 1]),
+    ("upst-circulant", {"n": 3}, [1] * 3),
+    ("upst-circulant", {"n": 5}, [1] * 5),
+    ("one-way-4", {}, [1] * 4),
+    ("one-way-4", {"param": math.pi}, [1, 2, 1]),
+    ("one-way-8", {}, [1] * 8),
+    ("one-way-8", {"param": math.pi / 2}, [1, 2, 2, 2, 1]),
+    ("star-product", {"m": 1}, [1] * 6),
+    ("star-product", {"m": 2}, [1, 1, 1, 3, 1, 1, 1]),
+    ("star-product", {"m": 6}, [1, 1, 1, 15, 1, 1, 1]),
+    ("looped-path", {"m": 2}, [1] * 6),
+])
+def test_closed_form_matches_the_eigensolver(name, params, multiplicities):
+    # a closed form has the eigensolver's multiplicities and eigenvalues,
+    # and its exact labels are distinct and ascending
+    bundle = build_family(name, **params)
+    closed = bundle.decomposition()
+    dec = spectral_decomposition(bundle.matrix)
+    assert closed.multiplicities == dec.multiplicities == multiplicities
+    assert np.max(np.abs(closed.eigenvalues - dec.eigenvalues)) <= 1e-8
+    if closed.exact is not None:
+        assert len(set(closed.exact)) == len(closed.exact) == len(closed)
+        assert all(float(b - a) > 0 for a, b in zip(closed.exact, closed.exact[1:]))
+        assert [float(v) for v in closed.exact] == closed.eigenvalues.tolist()
+
+
 def test_decomposition_is_the_closed_form_when_there_is_one():
     # cluster_tol reaches only the eigensolve: the closed form is not
     # clustered and so raises no ambiguity warning
     star = build_family("star-product", m=2)
-    assert star.decomposition(0.5) is star.spectrum
-    k3 = build_family("oriented-k3")
-    assert k3.spectrum is None
-    with pytest.warns(ClusterAmbiguityWarning):
-        assert len(k3.decomposition(0.5)) == 3
-    # the closed form is validated against the matrix, not trusted
-    reversed_k3 = hermitian_from_entries(-k3.matrix.array)
-    wrong = FamilyBundle(star.matrix, spectrum=rooted_star_spectrum(reversed_k3, 2))
+    for bundle in (star, build_family("oriented-k3")):
+        assert bundle.decomposition(0.5) is bundle.spectrum
+    # the closed form is validated against the matrix, not trusted: the
+    # star product over the reversed triangle is a different matrix
+    reversed_k3 = hermitian_from_entries(-build_family("oriented-k3").matrix.array)
+    wrong = FamilyBundle(rooted_star_product(reversed_k3, 2), spectrum=star.spectrum)
     with pytest.raises(EigensolverFailure, match="reconstruction error"):
         wrong.decomposition()
+
+
+def test_closed_form_merges_equal_labels_and_orthonormalizes():
+    # the blocks of columns 0 and 2 share a label and are not orthogonal
+    vectors = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=float)
+    dec = SpectralDecomposition.closed_form([Surd(2), Surd(-1), Surd(2)],
+                                            np.hsplit(vectors, 3))
+    assert dec.exact == [Surd(-1), Surd(2)]
+    assert dec.multiplicities == [1, 2]
+    assert np.allclose(dec.block(1).conj().T @ dec.block(1), np.eye(2))
+    dec.validate(np.diag([2.0, -1.0, 2.0]))
+    # distinct labels that one float cannot tell apart are refused
+    one = Surd.symbol(Transcendental("one", 1.0))
+    with pytest.raises(ValueError, match="round to one float"):
+        SpectralDecomposition.closed_form([Surd(1), one], np.hsplit(np.eye(2), 2))
 
 
 def test_build_family_spec_json():
@@ -406,7 +478,7 @@ def test_build_family_spec_json():
                                 "alpha": "0", "beta": "1", "h": 1,
                                 "c": [0, 0, 0]})
     assert bundle.matrix.dim == 3
-    assert bundle.exact_spectrum == [Surd(0), Surd(1), Surd(2)]
+    assert bundle.spectrum.exact == [Surd(0), Surd(1), Surd(2)]
     looped = build_family_spec({"family": "looped_path", "m": 2, "alpha": "0",
                                 "beta": "1", "h": 1, "c": [0, 0, 0]})
     assert looped.matrix.dim == 6

@@ -211,17 +211,18 @@ def test_relation_lattice_row_order_pinned():
 
 
 def test_one_way_spectra_repr_and_generators_pinned():
-    four = one_way_family_4(math.sqrt(2)).exact_spectrum
-    assert [repr(v) for v in four] == ["0", "1*pi", "1*lambda", "1*lambda + 1*pi"]
+    # the exact labels in the decomposition's (ascending) order
+    four = one_way_family_4(math.sqrt(2)).spectrum.exact
+    assert [repr(v) for v in four] == ["0", "1*lambda", "1*pi", "1*lambda + 1*pi"]
     assert relation_lattice(four).generators == [[1, 0, 0, 0], [0, 1, 1, -1]]
-    eight = one_way_family_8(math.sqrt(2)).exact_spectrum
+    eight = one_way_family_8(math.sqrt(2)).spectrum.exact
     assert [repr(v) for v in eight] == [
-        "0", "1*pi", "1*theta", "1*pi + 1*theta", "1/2*pi", "3/2*pi",
-        "1/2*pi + 1*theta", "3/2*pi + 1*theta"]
+        "0", "1*theta", "1/2*pi", "1/2*pi + 1*theta", "1*pi", "1*pi + 1*theta",
+        "3/2*pi", "3/2*pi + 1*theta"]
     assert relation_lattice(eight).generators == [
         [1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 1, -1, 0, 0, 0, 0],
-        [0, 1, 0, 0, -2, 0, 0, 0], [0, 0, 0, 0, 3, -1, 0, 0],
-        [0, 0, 0, 1, -1, 0, -1, 0], [0, 0, 0, 0, 2, 0, 1, -1]]
+        [0, 0, 2, 0, -1, 0, 0, 0], [0, 0, 1, -1, -1, 1, 0, 0],
+        [0, 0, 0, 3, 0, -3, 1, 0], [0, 0, 0, 1, 0, -2, 0, 1]]
 
 
 # --- relation lattices ------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qwalk.constructions import (oriented_k3, oriented_to_hermitian,
+from qwalk.constructions import (build_family, oriented_k3, oriented_to_hermitian,
                                  rooted_star_product, rooted_star_spectrum)
 from qwalk.linalg import spectral_decomposition
 from qwalk.numtheory import Surd, square_free_part
@@ -57,10 +57,12 @@ def test_support_surds_normalization():
 def test_support_surds_match_star_product_numerically():
     for m in (1, 4, 9):
         values, _ = star_support_surds(m)
-        closed = rooted_star_spectrum(oriented_to_hermitian(oriented_k3()), m)
+        closed = rooted_star_spectrum(build_family("oriented-k3").spectrum, m)
         nonzero = [lam for lam in closed.eigenvalues if lam != 0.0]
         assert np.allclose(sorted(float(v) for v in values), nonzero,
                            atol=1e-10)
+        # the closed form's labels are the same surds, and 0 for m > 1
+        assert set(closed.exact) == set(values) | ({Surd(0)} if m > 1 else set())
 
 
 def test_classifier_agrees_with_generic_checker():

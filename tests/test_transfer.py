@@ -9,7 +9,8 @@ import pytest
 from qwalk.constructions import (build_family, one_way_family_4, oriented_k3,
                                  oriented_to_hermitian, rooted_star_product,
                                  upst_circulant)
-from qwalk.linalg import hermitian_from_entries, spectral_decomposition, transition_matrix
+from qwalk.linalg import (SpectralDecomposition, hermitian_from_entries,
+                          spectral_decomposition, transition_matrix)
 from qwalk.numtheory import PI, Surd, Transcendental, relation_lattice
 from qwalk.transfer import (CSV_BLOCK_ROWS, NotProportional, SupportMismatch,
                             certify_pgst, check_periodicity, eigenvalue_support,
@@ -19,11 +20,17 @@ from qwalk.transfer import (CSV_BLOCK_ROWS, NotProportional, SupportMismatch,
                             transfer_amplitude)
 
 K3 = hermitian_from_entries([[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
-K3_EXACT = [Surd.sqrt(3, -1), Surd(0), Surd.sqrt(3)]
 
 
 def k3_dec():
     return spectral_decomposition(K3)
+
+
+def k3_closed_form():
+    """K3's decomposition labelled with its exact eigenvalues -sqrt(3), 0, sqrt(3)."""
+    bundle = build_family("oriented-k3")
+    assert np.array_equal(bundle.matrix.array, K3.array)
+    return bundle.decomposition()
 
 
 def angle_close(a, b, tol=1e-8):
@@ -98,8 +105,8 @@ def test_path3_refusal():
 # --- PST certification -----------------------------------------------------------
 
 def test_certify_pst_k3_exact():
-    dec = k3_dec()
-    verdict = pst_verdict(dec, 0, 1, K3_EXACT)
+    dec = k3_closed_form()
+    verdict = pst_verdict(dec, 0, 1)
     assert verdict.kind == "PST-certified"
     assert verdict.witness["mode"] == "exact"
     assert abs(verdict.time - 2 * math.pi / (3 * math.sqrt(3))) < 1e-12
@@ -107,12 +114,15 @@ def test_certify_pst_k3_exact():
     # numeric grid-search oracle confirms the certified time
     sweep = fidelity_sweep(dec, 0, 1, 3.0, 30_001)
     assert abs(sweep.best_time - verdict.time) < 1e-6
+    # both verdicts decide every pair of the labelled triangle exactly
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for verdict in (pst_verdict, pgst_verdict):
+            assert verdict(dec, a, b).witness["mode"] == "exact"
 
 
 def test_certify_pst_one_way_family():
     fam = one_way_family_4(math.sqrt(2))
-    dec = spectral_decomposition(fam.matrix)
-    verdict = pst_verdict(dec, 2, 0, fam.exact_spectrum, t_max=50)
+    verdict = pst_verdict(fam.decomposition(), 2, 0, t_max=50)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - 1.0) < 1e-6
     assert abs(verdict.phase - 1.0) < 1e-6
@@ -135,23 +145,33 @@ def test_pst_verdict_absent_on_refusal():
     assert verdict.witness["criterion"] == "strong-cospectrality"
 
 
+THREE_VERTEX_BASIS = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]], dtype=float)
+THREE_VERTEX_BASIS /= np.linalg.norm(THREE_VERTEX_BASIS, axis=1, keepdims=True)
+
+
 def _three_vertex_matrix(thetas):
     """Real symmetric matrix with eigenvalues thetas on the eigenbasis
     (1,1,1)/sqrt(3), (1,-1,0)/sqrt(2), (1,1,-2)/sqrt(6).  Vertex 0 sees
     every eigenvalue; the pair (0, 1) has quarrels 0, 1/2, 0 turns."""
-    basis = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]], dtype=float)
-    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    basis = THREE_VERTEX_BASIS
     return hermitian_from_entries(basis.T @ np.diag(thetas) @ basis)
+
+
+def _three_vertex_closed_form(exact):
+    """The decomposition of _three_vertex_matrix labelled with the exact
+    eigenvalues, validated against the matrix."""
+    dec = SpectralDecomposition.closed_form(exact, np.hsplit(THREE_VERTEX_BASIS.T, 3))
+    dec.validate(_three_vertex_matrix([float(v) for v in exact]))
+    return dec
 
 
 def test_exact_decision_irrational_ratio_absent():
     # (0, 1, sqrt(2)) with zero turns (the self pair): the ratio condition
     # fails, which rules out PST at every time
-    exact = [Surd(0), Surd(1), Surd.sqrt(2)]
-    dec = spectral_decomposition(_three_vertex_matrix([float(v) for v in exact]))
+    dec = _three_vertex_closed_form([Surd(0), Surd(1), Surd.sqrt(2)])
     quarrels = strong_cospectrality(dec, 0, 0)
     assert quarrels.rationals == (Fraction(0),) * 3
-    verdict = pst_verdict(dec, 0, 0, exact)
+    verdict = pst_verdict(dec, 0, 0)
     assert verdict.kind == "absent-certified"
     assert verdict.witness["mode"] == "exact"
     assert verdict.witness["criterion"] == "ratio-condition"
@@ -161,13 +181,12 @@ def test_exact_decision_irrational_ratio_absent():
 def test_exact_decision_congruence_absent():
     # path 0-2-1 Laplacian: spectrum (0, 1, 3) is periodic, but the endpoint
     # quarrels (0, 1/2, 0) need x = 1/2 and 2x = -1/2 (mod 1) at once
-    exact = [Surd(0), Surd(1), Surd(3)]
     laplacian = _three_vertex_matrix([0, 1, 3])
     assert np.allclose(laplacian.array, [[1, 0, -1], [0, 1, -1], [-1, -1, 2]])
-    dec = spectral_decomposition(laplacian)
+    dec = _three_vertex_closed_form([Surd(0), Surd(1), Surd(3)])
     quarrels = strong_cospectrality(dec, 0, 1)
     assert quarrels.rationals == (Fraction(0), Fraction(1, 2), Fraction(0))
-    verdict = pst_verdict(dec, 0, 1, exact)
+    verdict = pst_verdict(dec, 0, 1)
     assert verdict.kind == "absent-certified"
     assert verdict.witness["criterion"] == "phase-congruence"
     assert verdict.witness["index"] == 1
@@ -181,11 +200,12 @@ def test_exact_decision_congruence_absent():
 def test_star_product_pst_absent_certified():
     from qwalk.constructions import build_family
     for m in range(1, 31):
-        bundle = build_family("star-product", m=m)
-        dec = spectral_decomposition(bundle.matrix)
+        dec = build_family("star-product", m=m).decomposition()
         for a, b in ((0, 1), (1, 2)):
-            verdict = pst_verdict(dec, a, b, bundle.exact_spectrum)
+            verdict = pst_verdict(dec, a, b)
             assert verdict.kind == "absent-certified", (m, a, b, verdict.notes)
+            assert verdict.witness["mode"] == "exact"
+            assert pgst_verdict(dec, a, b).witness["mode"] == "exact"
 
 
 def _scan_windings(values, turns, bound):
@@ -271,7 +291,7 @@ def test_periodicity_examples():
     assert not periodic
     assert witness["numerator"] == "1*lambda"
     assert witness["denominator"] == "1*pi"
-    assert check_periodicity(K3_EXACT) == (True, None)
+    assert check_periodicity(k3_closed_form().exact) == (True, None)
     ok, _ = check_periodicity([Surd(0), Surd(1), Surd.sqrt(2)])
     assert not ok
     assert check_periodicity([Surd.sqrt(5)]) == (True, None)
@@ -330,7 +350,7 @@ def test_periodicity_equivalence_numeric():
     # spectrum in Z*sqrt(3): exact check says periodic, and the walk returns
     # at t = 2 pi/sqrt(3) within the 1e-6 window
     dec = k3_dec()
-    assert check_periodicity(K3_EXACT)[0]
+    assert check_periodicity(k3_closed_form().exact)[0]
     t = 2 * math.pi / math.sqrt(3)
     assert t <= 100
     assert abs(transition_matrix(dec, t)[0, 0]) >= 1 - 1e-6
@@ -439,41 +459,11 @@ def test_pgst_fallback_notes_name_the_reason():
         "exact PGST check unavailable (no exact spectrum or relation lattice "
         "supplied); sweep evidence only")
     # the quarrels 0, pi, lambda, lambda + pi are not all rational turns
-    verdict = pgst_verdict(dec, 2, 0, fam.exact_spectrum)
+    verdict = pgst_verdict(fam.decomposition(), 2, 0)
     assert verdict.kind == "numeric-evidence"
     assert verdict.notes == (
         "exact PGST check unavailable (quarrels of pair (2, 0) are not all "
         "recognized rational multiples of 2*pi); sweep evidence only")
-
-
-@pytest.mark.parametrize("name, params, pairs", [
-    ("oriented-k3", {}, [(0, 1), (1, 2), (2, 0)]),
-    ("star-product", {"m": 1}, [(0, 1), (1, 2)]),
-    ("star-product", {"m": 6}, [(0, 1), (2, 1)]),
-])
-def test_verdicts_take_the_exact_spectrum_in_any_order(name, params, pairs):
-    bundle = build_family(name, **params)
-    dec = spectral_decomposition(bundle.matrix)
-    family_order = list(bundle.exact_spectrum)
-    shuffled = list(family_order)
-    np.random.default_rng(5).shuffle(shuffled)
-    assert shuffled != family_order
-    for a, b in pairs:
-        for verdict in (pst_verdict, pgst_verdict):
-            want = verdict(dec, a, b, family_order).to_json()
-            assert want["witness"]["mode"] == "exact"
-            for spectrum in (family_order[::-1], shuffled):
-                assert verdict(dec, a, b, spectrum).to_json() == want
-
-
-def test_verdicts_align_before_the_cospectrality_test():
-    # the path P3 refuses the pair (0, 1), yet a spectrum that misses an
-    # eigenvalue is reported first, as the CLI always reported it
-    dec = spectral_decomposition(
-        hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-    for verdict in (pst_verdict, pgst_verdict):
-        with pytest.raises(ValueError, match="no exact counterpart"):
-            verdict(dec, 0, 1, [Surd(0), Surd.sqrt(2)])
 
 
 # --- fidelity sweep ----------------------------------------------------------------
@@ -703,8 +693,7 @@ def test_numeric_pst_on_oriented_cycle_reports_pi_over_2():
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_numeric_pst_on_one_way_8_is_exact_to_rounding(b):
     # PST 0 -> b at t = b, found to rounding
-    bundle = build_family("one-way-8")
-    verdict = pst_verdict(bundle.decomposition(), 0, b, bundle.exact_spectrum)
+    verdict = pst_verdict(build_family("one-way-8").decomposition(), 0, b)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - b) <= 1e-12
     assert verdict.fidelity >= 1 - 1e-12
@@ -768,8 +757,7 @@ def test_not_proportional_witness_ignores_noise_angle():
 # --- verdict serialization --------------------------------------------------------------
 
 def test_verdict_json_shape():
-    dec = k3_dec()
-    payload = pst_verdict(dec, 0, 1, K3_EXACT).to_json()
+    payload = pst_verdict(k3_closed_form(), 0, 1).to_json()
     assert payload["kind"] == "PST-certified"
     assert {"time", "phase", "fidelity"} <= set(payload)
     values, turns = star_surd_data(3)
@@ -783,30 +771,24 @@ def test_verdict_json_needs_no_default():
     # plain json encoder: witnesses hold dicts, lists, tuples, ints, floats,
     # strs and Fractions only
     def family(name, **params):
-        bundle = build_family(name, **params)
-        return spectral_decomposition(bundle.matrix), bundle
-    k3 = k3_dec()
-    c4, _ = family("oriented-cycle", n=4)
-    c6, _ = family("oriented-cycle", n=6)
-    star6, star6_bundle = family("star-product", m=6)
-    star3, star3_bundle = family("star-product", m=3)
-    looped, looped_bundle = family("looped-path", m=2)
-    one_way, _ = family("one-way-4")
+        return build_family(name, **params).decomposition()
+    c4 = family("oriented-cycle", n=4)
+    c6 = family("oriented-cycle", n=6)
+    looped_bundle = build_family("looped-path", m=2)
     p3 = spectral_decomposition(hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-    irrational = [Surd(0), Surd(1), Surd.sqrt(2)]
-    ratio = spectral_decomposition(_three_vertex_matrix([float(v) for v in irrational]))
-    congruence = spectral_decomposition(_three_vertex_matrix([0, 1, 3]))
+    ratio = _three_vertex_closed_form([Surd(0), Surd(1), Surd.sqrt(2)])
+    congruence = _three_vertex_closed_form([Surd(0), Surd(1), Surd(3)])
     verdicts = [
-        pst_verdict(k3, 0, 1, K3_EXACT),
+        pst_verdict(k3_closed_form(), 0, 1),
         pst_verdict(c4, 0, 2),
-        pgst_verdict(star6, 0, 1, star6_bundle.exact_spectrum),
-        pgst_verdict(looped, 0, 1, lattice=looped_bundle.lattice),
+        pgst_verdict(family("star-product", m=6), 0, 1),
+        pgst_verdict(looped_bundle.decomposition(), 0, 1, lattice=looped_bundle.lattice),
         pst_verdict(p3, 0, 1),
         pst_verdict(c6, 0, 3),
-        pst_verdict(ratio, 0, 0, irrational),
-        pst_verdict(congruence, 0, 1, [Surd(0), Surd(1), Surd(3)]),
-        pgst_verdict(star3, 0, 1, star3_bundle.exact_spectrum),
-        pst_verdict(one_way, 0, 2),
+        pst_verdict(ratio, 0, 0),
+        pst_verdict(congruence, 0, 1),
+        pgst_verdict(family("star-product", m=3), 0, 1),
+        pst_verdict(family("one-way-4"), 0, 2),
         pgst_verdict(c4, 0, 2),
     ]
     seen = set()
