@@ -15,7 +15,7 @@ import warnings
 
 from .constructions import (FAMILIES, BadFamilyParameters, FamilyBundle,
                            build_family, build_family_spec)
-from .linalg import DEFAULT_CLUSTER_TOL, HermitianMatrix
+from .linalg import HermitianMatrix
 from .star import CSV_HEADER, classify_star_m
 from .transfer import (NotProportional, SupportMismatch, eigenvalue_support,
                        fidelity_sweep, pgst_verdict, pst_verdict,
@@ -61,11 +61,10 @@ def _check_vertices(args, dim: int) -> None:
 
 
 def _check_numbers(args) -> None:
-    """Reject --tol, --t-max, --param and --steps values no command can use."""
-    for flag, attr in (("--tol", "tol"), ("--t-max", "t_max")):
-        value = getattr(args, attr, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise FlagError(f"{flag} {value} must be a finite positive number")
+    """Reject --t-max, --param and --steps values no command can use."""
+    t_max = getattr(args, "t_max", None)
+    if t_max is not None and not (math.isfinite(t_max) and t_max > 0):
+        raise FlagError(f"--t-max {t_max} must be a finite positive number")
     param = getattr(args, "param", None)
     if param is not None and not math.isfinite(param):
         raise FlagError(f"--param {param} must be a finite number")
@@ -100,7 +99,7 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     bundle = _load_bundle(args)
-    dec = bundle.decomposition(args.tol)
+    dec = bundle.decomposition()
     n = bundle.matrix.dim
     report = {
         "dim": n,
@@ -129,11 +128,11 @@ def cmd_analyze(args) -> int:
 
 
 def _transfer_check(args, decide) -> int:
-    """Shared body of pst-check and pgst-check: decompose, decide, dump."""
+    """Shared body of pst-check and pgst-check: decompose, decide(dec, a, b),
+    dump."""
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
-    dec = bundle.decomposition(args.tol)
-    verdict = decide(bundle, dec)
+    verdict = decide(bundle.decomposition(), args.frm, args.to)
     if bundle.notes:
         verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
     with _out_stream(args) as fh:
@@ -143,20 +142,18 @@ def _transfer_check(args, decide) -> int:
 
 
 def cmd_pst_check(args) -> int:
-    return _transfer_check(args, lambda bundle, dec: pst_verdict(
-        dec, args.frm, args.to, args.t_max, args.steps))
+    return _transfer_check(args, pst_verdict)
 
 
 def cmd_pgst_check(args) -> int:
-    return _transfer_check(args, lambda bundle, dec: pgst_verdict(
-        dec, args.frm, args.to, bundle.lattice))
+    return _transfer_check(args, pgst_verdict)
 
 
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
     _check_vertices(args, bundle.matrix.dim)
-    dec = bundle.decomposition(args.tol)
-    result = fidelity_sweep(dec, args.frm, args.to, args.t_max, args.steps)
+    result = fidelity_sweep(bundle.decomposition(), args.frm, args.to,
+                            args.t_max, args.steps)
     with _out_stream(args) as fh:
         result.to_csv(fh)
     sys.stderr.write(f"max fidelity {_fmt(result.best_fidelity)} "
@@ -223,20 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="family real parameter (lambda/theta/gamma)")
         p.add_argument("--out", help="output path (default stdout)")
 
-    def add_common(p, vertices=False, sweep=False):
+    def add_vertices(p):
         add_source(p)
-        p.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                       help="eigenvalue clustering tolerance of the eigensolve "
-                            "(a closed-form spectrum is not clustered)")
-        if vertices:
-            p.add_argument("--from", dest="frm", type=int, required=True,
-                           help="source vertex (0-based)")
-            p.add_argument("--to", dest="to", type=int, required=True,
-                           help="target vertex (0-based)")
-        if sweep:
-            p.add_argument("--t-max", dest="t_max", type=float,
-                           help="sweep window upper end")
-            p.add_argument("--steps", type=int, help="sweep grid size")
+        p.add_argument("--from", dest="frm", type=int, required=True,
+                       help="source vertex (0-based)")
+        p.add_argument("--to", dest="to", type=int, required=True,
+                       help="target vertex (0-based)")
 
     p = sub.add_parser("construct", help="build a family and write its matrix JSON")
     p.add_argument("--spec", help="path to a construction spec JSON")
@@ -244,21 +233,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="spectrum, supports, cospectral pairs, quarrels")
-    add_common(p)
+    add_source(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pst-check", help="certify perfect state transfer")
-    add_common(p, vertices=True, sweep=True)
+    add_vertices(p)
     p.set_defaults(func=cmd_pst_check)
 
     p = sub.add_parser("pgst-check", help="certify pretty good state transfer")
-    add_common(p, vertices=True)
+    add_vertices(p)
     p.set_defaults(func=cmd_pgst_check)
 
     p = sub.add_parser("sweep", help="fidelity sweep CSV")
-    add_common(p, vertices=True, sweep=True)
+    add_vertices(p)
+    p.add_argument("--t-max", dest="t_max", type=float, default=100.0,
+                   help="sweep window upper end (default 100)")
+    p.add_argument("--steps", type=int, default=20001,
+                   help="sweep grid size (default 20001)")
     p.set_defaults(func=cmd_sweep)
-    p.set_defaults(t_max=100.0, steps=20001)
 
     p = sub.add_parser("search-upst", help="universal-PST classification reports")
     p.add_argument("--n", type=int, required=True)

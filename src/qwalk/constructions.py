@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_CLUSTER_TOL, MAX_KRON_DIM, DimensionOverflow,
-                     HermitianMatrix, SpectralDecomposition, check_kron_dim,
+from .linalg import (MAX_KRON_DIM, DimensionOverflow, HermitianMatrix,
+                     SpectralDecomposition, check_kron_dim,
                      hermitian_from_entries, kron, spectral_decomposition)
 from .numtheory import (PI, RelationLattice, Surd, Transcendental,
                         integer_kernel)
@@ -50,22 +50,19 @@ class NonHermitianResult(RuntimeError):
 
 @dataclass
 class FamilyBundle:
-    """A built family: matrix plus whatever exact data the family affords:
-    its closed-form spectral decomposition, labelled with exact eigenvalues
-    where it knows them, or a lattice holding every integer relation among
-    that decomposition's eigenvalues, in its order (a superset will do)."""
+    """A built family: matrix plus, where the family affords one, its
+    closed-form spectral decomposition, carrying exact eigenvalues or a
+    relation lattice where the family knows them."""
 
     matrix: HermitianMatrix
     notes: str = ""
-    lattice: Optional[RelationLattice] = None
     spectrum: Optional[SpectralDecomposition] = None
 
-    def decomposition(self, cluster_tol: float = DEFAULT_CLUSTER_TOL
-                      ) -> SpectralDecomposition:
+    def decomposition(self) -> SpectralDecomposition:
         """The closed-form spectrum, validated against matrix, or when the
-        family has none an eigensolve of matrix clustered at cluster_tol."""
+        family has none an eigensolve of matrix."""
         if self.spectrum is None:
-            return spectral_decomposition(self.matrix, cluster_tol)
+            return spectral_decomposition(self.matrix)
         self.spectrum.validate(self.matrix)
         return self.spectrum
 
@@ -491,9 +488,9 @@ def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
         return FamilyBundle(product.matrix, notes=f"loop weight gamma = {ratio} "
                                                   "is rational: no exact PGST check",
                             spectrum=product.spectrum)
+    product.spectrum.lattice = product.relation_superlattice()
     return FamilyBundle(product.matrix,
                         notes=f"loop weight gamma = {gamma!r} assumed transcendental",
-                        lattice=product.relation_superlattice(),
                         spectrum=product.spectrum)
 
 

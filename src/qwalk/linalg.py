@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-8  # eigensolve: consecutive eigenvalues this close are one
 HERMITIAN_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -39,7 +39,7 @@ class EigensolverFailure(RuntimeError):
 
 
 class ClusterAmbiguityWarning(UserWarning):
-    """Two eigenvalue clusters are separated by less than 10x cluster_tol."""
+    """Two eigenvalue clusters are separated by less than 10x CLUSTER_TOL."""
 
 
 def _max_abs(a) -> float:
@@ -121,10 +121,14 @@ class SpectralDecomposition:
     theta_r, ascending, and the orthonormal eigenvector matrix V whose
     consecutive column blocks V_r have the multiplicities as widths.
     exact holds theta_r as an exact value (a Surd) for each r when the
-    decomposition was built by closed_form, else None."""
+    decomposition was built by closed_form, else None.  lattice is None
+    unless the builder sets it: a RelationLattice over the theta_r, in this
+    order, that holds every integer relation among them (a superset will
+    do)."""
 
     def __init__(self, eigenvalues, vectors, multiplicities):
         self.exact = None
+        self.lattice = None
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.vectors = np.array(vectors, dtype=complex)
         self.vectors.setflags(write=False)
@@ -210,13 +214,10 @@ class SpectralDecomposition:
                 f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
 
 
-def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
-                           ) -> SpectralDecomposition:
+def spectral_decomposition(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, clustering sorted eigenvalues with
-    consecutive gaps at most cluster_tol into one block each (multiplicities
+    consecutive gaps at most CLUSTER_TOL into one block each (multiplicities
     detected, never assumed), and validate the result against the input."""
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
     herm = h if isinstance(h, HermitianMatrix) else hermitian_from_entries(h)
     a = herm.array
     try:
@@ -224,11 +225,11 @@ def spectral_decomposition(h, cluster_tol: float = DEFAULT_CLUSTER_TOL
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
 
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1))
     widths = np.diff(np.append(starts, len(w)))
     eigenvalues = np.add.reduceat(w, starts) / widths
 
-    ambiguous = int(np.count_nonzero(np.diff(eigenvalues) < 10 * cluster_tol))
+    ambiguous = int(np.count_nonzero(np.diff(eigenvalues) < 10 * CLUSTER_TOL))
     if ambiguous:
         warnings.warn(
             f"{ambiguous} eigenvalue gap(s) within 10x cluster_tol; "

@@ -170,22 +170,23 @@ def _jsonable(obj):
     return obj
 
 
-def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                t_max: Optional[float] = None,
-                steps: Optional[int] = None) -> TransferVerdict:
-    """Decide perfect state transfer from a to b.  A strong cospectrality
-    refusal is certified absence (a necessary condition fails).
+def pst_verdict(dec: SpectralDecomposition, a: int, b: int) -> TransferVerdict:
+    """Decide perfect state transfer from a to b, reading only dec.  A strong
+    cospectrality refusal is certified absence (a necessary condition
+    fails).
 
     Exact mode (available when dec carries exact labels, symbol-free on
     the support, and every quarrel is a rational multiple of 2*pi):
     solve_pst_congruences decides the phase condition exactly.  No
-    solution is certified absence; the minimal solution tau is verified
+    solution is certified absence; the minimal solution tau > 0 is verified
     numerically against PST_FIDELITY_TOL before it is certified.
 
     Numeric mode (no exact carrier, or a failed verification): fidelity
-    sweep over [0, t_max] with Newton refinement; a refined maximum
-    that clears 1 - PST_FIDELITY_TOL is reported as PST-numeric, anything
-    lower as numeric evidence.
+    sweep over [0, t_max], t_max = max(50, 20*2*pi/spread) with spread the
+    width of the spectrum, on max(2001, 40*t_max + 1) points, with Newton
+    refinement.  A refined maximum at t > 0 that clears 1 - PST_FIDELITY_TOL
+    is reported as PST-numeric; anything lower, or a best peak at t = 0
+    (a self pair's trivial return), as numeric evidence.
     """
     try:
         quarrels = strong_cospectrality(dec, a, b)
@@ -211,23 +212,24 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int,
                     witness={"mode": "exact", **witness},
                     notes="exact phase-congruence solution verified numerically")
     # numeric fallback
-    if t_max is None:
-        spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0]) or 1.0
-        t_max = max(50.0, 20 * TWO_PI / spread)
-    if steps is None:
-        steps = max(2001, int(t_max * 40) + 1)
-    sweep = fidelity_sweep(dec, a, b, t_max, steps)
-    if sweep.best_fidelity >= 1 - PST_FIDELITY_TOL:
+    spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0]) or 1.0
+    t_max = max(50.0, 20 * TWO_PI / spread)
+    sweep = fidelity_sweep(dec, a, b, t_max, max(2001, int(t_max * 40) + 1))
+    witness = {"mode": "numeric", "t_max": t_max}
+    if sweep.best_fidelity < 1 - PST_FIDELITY_TOL:
+        notes = "no PST found in the sweep window; max fidelity reported"
+    elif sweep.best_time == 0:
+        notes = ("best sweep peak is the trivial return at t = 0, not "
+                 "transfer; max fidelity reported")
+    else:
         phase = complex(transfer_amplitude(dec, a, b)(sweep.best_time)[0])
         return TransferVerdict(
             "PST-numeric", time=sweep.best_time, phase=phase,
-            fidelity=sweep.best_fidelity,
-            witness={"mode": "numeric", "t_max": t_max},
+            fidelity=sweep.best_fidelity, witness=witness,
             notes="numeric fidelity maximum at certification tolerance")
-    return TransferVerdict(
-        "numeric-evidence", time=sweep.best_time, fidelity=sweep.best_fidelity,
-        witness={"mode": "numeric", "t_max": t_max},
-        notes="no PST found in the sweep window; max fidelity reported")
+    return TransferVerdict("numeric-evidence", time=sweep.best_time,
+                           fidelity=sweep.best_fidelity, witness=witness,
+                           notes=notes)
 
 
 def solve_pst_congruences(values: Sequence[Surd], turns: Sequence[Fraction]):
@@ -378,18 +380,17 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
         notes="Kronecker criterion satisfied on the relation lattice")
 
 
-def pgst_verdict(dec: SpectralDecomposition, a: int, b: int,
-                 lattice: Optional[RelationLattice] = None) -> TransferVerdict:
-    """Decide pretty good state transfer from a to b: strong cospectrality,
-    then the exact Kronecker check (certify_pgst) when dec carries exact
-    labels or a relation lattice of the support's dimension is given and
-    every quarrel is a recognized rational turn, else numeric evidence
-    from a sweep over [0, PGST_SWEEP_T_MAX]."""
+def pgst_verdict(dec: SpectralDecomposition, a: int, b: int) -> TransferVerdict:
+    """Decide pretty good state transfer from a to b, reading only dec:
+    strong cospectrality, then the exact Kronecker check (certify_pgst)
+    when dec carries exact labels or a relation lattice (dec.lattice) of
+    the support's dimension and every quarrel is a recognized rational
+    turn, else numeric evidence from a sweep over [0, PGST_SWEEP_T_MAX]."""
     try:
         quarrels = strong_cospectrality(dec, a, b)
     except (SupportMismatch, NotProportional) as exc:
         return _refusal(exc)
-    support, turns = quarrels.support, quarrels.turns
+    support, turns, lattice = quarrels.support, quarrels.turns, dec.lattice
     if lattice is not None and lattice.dim != len(support):
         # the exact support may be full: checking part of it proves nothing
         reason = (f"relation lattice has dimension {lattice.dim} but pair "

@@ -210,7 +210,7 @@ def crit_looped_path_product() -> tuple[bool, str]:
         # every level pair (0, 1) has these quarrels, so one check covers
         # all; the superset lattice from the trace conditions assumes the
         # loop weight is transcendental over the rational base spectrum
-        verdict = pgst_verdict(dec, 0, 1, lattice=bundle.lattice)
+        verdict = pgst_verdict(dec, 0, 1)
         if verdict.kind != "PGST-certified":
             return False, f"m={m}: {verdict.kind}"
         sweep = fidelity_sweep(dec, product.vertex(0, 1), product.vertex(1, 1),
@@ -219,7 +219,7 @@ def crit_looped_path_product() -> tuple[bool, str]:
             return False, f"m={m}: sweep only reached {sweep.best_fidelity}"
         details.append(f"m={m}: sweep max {sweep.best_fidelity:.4f}")
     bundle = build_family("looped-path", m=12)
-    verdict = pgst_verdict(bundle.decomposition(), 0, 1, lattice=bundle.lattice)
+    verdict = pgst_verdict(bundle.decomposition(), 0, 1)
     mode = verdict.witness.get("mode")
     details.append(f"m=12 pair (0, 1): {verdict.kind}, mode {mode}")
     return (verdict.kind, mode) == ("PGST-certified", "exact"), "; ".join(details)

@@ -39,6 +39,19 @@ def test_pst_check_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flags", [
+    ("hypercube", "--m", "1", "--from", "3", "--to", "3"),
+    ("oriented-cycle", "--n", "5", "--from", "0", "--to", "0"),
+])
+def test_self_pair_trivial_return_is_not_numeric_pst(capsys, flags):
+    # F(0) = 1 for a self pair: a best sweep peak at t = 0 is no transfer
+    code, out, _ = run_cli(capsys, "pst-check", "--family", *flags)
+    assert code == 0
+    verdict = json.loads(out)
+    assert (verdict["kind"], verdict["time"]) == ("numeric-evidence", 0.0)
+    assert verdict["notes"].startswith("best sweep peak is the trivial return at t = 0")
+
+
 def test_classify_star_range(capsys):
     code, out, _ = run_cli(capsys, "classify-star", "--m", "1..30")
     assert code == 0
@@ -173,7 +186,7 @@ def test_pgst_check_looped_path_exact_up_to_m_7(capsys, m):
 @pytest.mark.parametrize("m", range(8, 19))
 def test_pgst_check_looped_path_exact_from_m_8_to_18(capsys, m):
     # the loop-bound states of different Fourier branches lie 1.2e-7 apart
-    # at m = 8 and 1.2e-9 at m = 10: an eigensolve clustered at --tol
+    # at m = 8 and 1.2e-9 at m = 10: an eigensolve clustered at 1e-8
     # merges them, the family's closed form keeps them apart
     _assert_looped_path_exact(capsys, m)
 
@@ -256,27 +269,20 @@ def test_missing_input_is_analysis_failure(capsys):
     assert "error:" in err
 
 
-def test_warnings_are_one_stderr_line_each(capsys):
+def test_warnings_are_one_stderr_line_each(tmp_path, capsys):
     # under pytest's error filter a warning would otherwise raise; a second
-    # call in the same process shows it again.  hypercube --m 0 is
-    # eigensolved (gap 2, within 10x --tol 0.5)
-    argv = ("pst-check", "--family", "hypercube", "--m", "0",
-            "--from", "0", "--to", "1", "--tol", "0.5")
+    # call in the same process shows it again.  diag(0, 5e-8, 1) is
+    # eigensolved into three clusters, the first gap within 10x 1e-8
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"dim": 3, "re": np.diag([0, 5e-8, 1]).tolist(),
+                                "im": np.zeros((3, 3)).tolist()}))
+    argv = ("pst-check", "--matrix", str(path), "--from", "0", "--to", "1")
     for _ in range(2):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["kind"] == "PST-numeric"
+        assert json.loads(out)["kind"] == "absent-certified"
         assert err == ("warning: 1 eigenvalue gap(s) within 10x cluster_tol; "
                        "clustering may be ambiguous\n")
-
-
-def test_closed_form_spectrum_is_not_clustered(capsys):
-    # star-product decides on its closed form, which --tol does not cluster
-    code, out, err = run_cli(capsys, "pst-check", "--family", "star-product",
-                             "--m", "1", "--from", "0", "--to", "1", "--tol", "0.5")
-    assert code == 0
-    assert json.loads(out)["kind"] == "absent-certified"
-    assert err == ""
 
 
 @pytest.mark.parametrize("text, message", [
@@ -299,12 +305,25 @@ def test_malformed_matrix_file_is_analysis_failure(tmp_path, capsys, text,
     assert err == f"error: {message}\n"
 
 
-def test_construct_takes_no_tol(capsys):
-    code, out, err = run_cli(capsys, "construct", "--family", "oriented-k3",
-                             "--tol", "1e-8")
+REMOVED_FLAG_CASES = (
+    [("construct", "--tol", "1e-8")]
+    + [(cmd, "--tol", v) for cmd in ("analyze", "pst-check", "pgst-check", "sweep")
+       for v in ("0", "-1e-8", "nan", "inf")]
+    + [("pst-check", "--t-max", v) for v in ("0", "-1", "nan")]
+    + [("pst-check", "--steps", v) for v in ("1", "0", "-5")])
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAG_CASES)
+def test_removed_flag_is_unrecognized(capsys, command, flag, value):
+    # the eigensolve clusters at a fixed tolerance and pst-check picks its
+    # own sweep window: no command takes --tol and pst-check takes neither
+    # --t-max nor --steps, whatever the value
+    vertices = () if command in ("construct", "analyze") else ("--from", "0", "--to", "1")
+    code, out, err = run_cli(capsys, command, "--family", "oriented-k3",
+                             *vertices, flag, value)
     assert code == 2
     assert out == ""
-    assert err == "error: unrecognized arguments: --tol 1e-8\n"
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -388,10 +407,8 @@ def test_out_of_range_vertex_is_flag_error(capsys, command, frm, to):
 
 
 NUMBER_FLAG_CASES = (
-    [(cmd, "--tol", v) for cmd in ("analyze", "pst-check", "pgst-check", "sweep")
-     for v in ("0", "-1e-8", "nan", "inf")]
-    + [(cmd, "--t-max", v) for cmd in ("pst-check", "sweep") for v in ("0", "-1", "nan")]
-    + [(cmd, "--steps", v) for cmd in ("pst-check", "sweep") for v in ("1", "0", "-5")]
+    [("sweep", "--t-max", v) for v in ("0", "-1", "nan")]
+    + [("sweep", "--steps", v) for v in ("1", "0", "-5")]
     + [(cmd, "--param", v) for cmd in ("construct", "pst-check") for v in ("nan", "inf")])
 
 
@@ -423,8 +440,7 @@ def test_parameters_a_family_takes_still_build(capsys, flags, dim):
 
 @pytest.mark.parametrize("command, flag, value", NUMBER_FLAG_CASES)
 def test_bad_number_flag_is_flag_error(capsys, command, flag, value):
-    # oriented-k3 is decided on the exact path, which never reads the sweep
-    # flags: they are still checked before any work
+    # every value is checked before any work
     vertices = () if command in ("construct", "analyze") else ("--from", "0", "--to", "1")
     code, out, err = run_cli(capsys, command, "--family", "oriented-k3",
                              *vertices, f"{flag}={value}")
@@ -652,7 +668,7 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message, line, arg
 
 REUSE_SEQUENCE = [
     ("sweep", "--family", "oriented-k2", "--from", "0", "--to", "1"),
-    # numeric path with no --t-max: sweep's defaults must not leak in
+    # numeric path: pst-check's own window, not sweep's defaults
     ("pst-check", "--family", "oriented-cycle", "--n", "4", "--from", "0", "--to", "2"),
     ("pst-check", "--family", "oriented-k3", "--from", "0"),
     ("pgst-check", "--family", "star-product", "--m", "6", "--from", "0", "--to", "1"),

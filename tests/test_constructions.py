@@ -389,13 +389,13 @@ CLOSED_FORMS = ("oriented_k2", "oriented_k3", "upst_circulant", "star_product",
 def test_every_family_checks_its_parameter_list(name):
     required = _required_parameters(name)
     bundle = build_family(name, **{p: 3 for p in required})
-    # only the looped-path family carries a relation lattice; the families
-    # with an exact spectrum carry it as a labelled closed form, and the
-    # looped-path family an unlabelled one
-    assert (bundle.lattice is not None) == (name == "looped_path")
+    # the families with an exact spectrum carry it as a labelled closed
+    # form, and the looped-path family an unlabelled one with a relation
+    # lattice, the only family that carries one
     assert (bundle.spectrum is not None) == (name in CLOSED_FORMS)
     if bundle.spectrum is not None:
         assert (bundle.spectrum.exact is None) == (name == "looped_path")
+        assert (bundle.spectrum.lattice is not None) == (name == "looped_path")
     for missing in required:
         params = {p: 3 for p in required if p != missing}
         with pytest.raises(BadFamilyParameters) as err:
@@ -410,10 +410,11 @@ def test_only_looped_path_carries_a_lattice():
     circ = upst_circulant(3, 0, 1, 1)
     product = rooted_looped_path_product(circ, 2, math.pi)
     want = product.relation_superlattice()
-    assert (bundle.lattice.dim, bundle.lattice.generators) == (want.dim, want.generators)
+    lattice = bundle.spectrum.lattice
+    assert (lattice.dim, lattice.generators) == (want.dim, want.generators)
     # a rational loop weight voids the trace-condition argument
     rational = build_family("looped-path", m=2, param=0.1)
-    assert rational.lattice is None and "is rational" in rational.notes
+    assert rational.spectrum.lattice is None and "is rational" in rational.notes
 
 
 @pytest.mark.parametrize("name, params, multiplicities", [
@@ -445,11 +446,10 @@ def test_closed_form_matches_the_eigensolver(name, params, multiplicities):
 
 
 def test_decomposition_is_the_closed_form_when_there_is_one():
-    # cluster_tol reaches only the eigensolve: the closed form is not
-    # clustered and so raises no ambiguity warning
+    # only the eigensolve clusters: the closed form is returned as built
     star = build_family("star-product", m=2)
     for bundle in (star, build_family("oriented-k3")):
-        assert bundle.decomposition(0.5) is bundle.spectrum
+        assert bundle.decomposition() is bundle.spectrum
     # the closed form is validated against the matrix, not trusted: the
     # star product over the reversed triangle is a different matrix
     reversed_k3 = hermitian_from_entries(-build_family("oriented-k3").matrix.array)

@@ -135,12 +135,7 @@ def test_degenerate_cluster_detected_not_assumed():
 def test_cluster_ambiguity_flagged():
     h = hermitian_from_entries(np.diag([0.0, 5e-8, 1.0]))
     with pytest.warns(ClusterAmbiguityWarning):
-        spectral_decomposition(h, cluster_tol=1e-8)
-
-
-def test_cluster_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        spectral_decomposition(np.zeros((2, 2)), cluster_tol=0.0)
+        spectral_decomposition(h)
 
 
 def test_projector_algebra_and_reconstruction_random():

@@ -122,7 +122,7 @@ def test_certify_pst_k3_exact():
 
 def test_certify_pst_one_way_family():
     fam = one_way_family_4(math.sqrt(2))
-    verdict = pst_verdict(fam.decomposition(), 2, 0, t_max=50)
+    verdict = pst_verdict(fam.decomposition(), 2, 0)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - 1.0) < 1e-6
     assert abs(verdict.phase - 1.0) < 1e-6
@@ -132,7 +132,7 @@ def test_certify_pst_c4_tensor_time():
     from qwalk.constructions import c4_tensor_construction, oriented_k2
     h = c4_tensor_construction(oriented_to_hermitian(oriented_k2()))
     dec = spectral_decomposition(h)
-    verdict = pst_verdict(dec, 0, 3, t_max=5.0)
+    verdict = pst_verdict(dec, 0, 3)
     assert verdict.kind == "PST-numeric"
     assert abs(verdict.time - math.pi / 4) < 1e-6
 
@@ -774,7 +774,6 @@ def test_verdict_json_needs_no_default():
         return build_family(name, **params).decomposition()
     c4 = family("oriented-cycle", n=4)
     c6 = family("oriented-cycle", n=6)
-    looped_bundle = build_family("looped-path", m=2)
     p3 = spectral_decomposition(hermitian_from_entries([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     ratio = _three_vertex_closed_form([Surd(0), Surd(1), Surd.sqrt(2)])
     congruence = _three_vertex_closed_form([Surd(0), Surd(1), Surd(3)])
@@ -782,7 +781,7 @@ def test_verdict_json_needs_no_default():
         pst_verdict(k3_closed_form(), 0, 1),
         pst_verdict(c4, 0, 2),
         pgst_verdict(family("star-product", m=6), 0, 1),
-        pgst_verdict(looped_bundle.decomposition(), 0, 1, lattice=looped_bundle.lattice),
+        pgst_verdict(family("looped-path", m=2), 0, 1),
         pst_verdict(p3, 0, 1),
         pst_verdict(c6, 0, 3),
         pst_verdict(ratio, 0, 0),
