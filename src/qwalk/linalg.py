@@ -232,7 +232,7 @@ def spectral_decomposition(h) -> SpectralDecomposition:
     ambiguous = int(np.count_nonzero(np.diff(eigenvalues) < 10 * CLUSTER_TOL))
     if ambiguous:
         warnings.warn(
-            f"{ambiguous} eigenvalue gap(s) within 10x cluster_tol; "
+            f"{ambiguous} eigenvalue gap(s) within 10x CLUSTER_TOL; "
             "clustering may be ambiguous", ClusterAmbiguityWarning)
 
     dec = SpectralDecomposition(eigenvalues, v, widths)

@@ -108,7 +108,12 @@ class Surd:
     @classmethod
     def sqrt(cls, n: int, coeff: Rational = 1) -> "Surd":
         """coeff * sqrt(n) for a positive integer n, normalized square-free."""
-        return cls(0, {n: coeff})
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if not coeff:
+            return cls._from_terms(())
+        s, k = square_free_part(int(n))
+        return cls._from_terms(((s, coeff * k),))
 
     @classmethod
     def symbol(cls, t: Transcendental, coeff: Rational = 1) -> "Surd":
@@ -137,10 +142,7 @@ class Surd:
         other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for b, c in other._terms:
-            terms[b] = terms.get(b, 0) + c
-        return Surd._from_terms(_sorted_terms(terms))
+        return Surd._from_terms(_merge_terms(self._terms, other._terms, False))
 
     __radd__ = __add__
 
@@ -151,7 +153,7 @@ class Surd:
         other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Surd._from_terms(_merge_terms(self._terms, other._terms, True))
 
     def __rsub__(self, other) -> "Surd":
         return _as_surd(other) - self
@@ -206,12 +208,41 @@ class Surd:
 def _sorted_terms(terms: dict) -> tuple:
     """The canonical term tuple of a basis -> coefficient map: zero
     coefficients dropped, ordered 1, radicals by d, symbols by name."""
-    return tuple(sorted(((b, c) for b, c in terms.items() if c), key=_term_order))
+    return tuple(sorted(((b, c) for b, c in terms.items() if c),
+                        key=lambda term: _basis_order(term[0])))
 
 
-def _term_order(term: tuple) -> tuple:
-    b = term[0]
+def _basis_order(b) -> tuple:
     return (1, b.name) if isinstance(b, Transcendental) else (0, b)
+
+
+def _merge_terms(xs: tuple, ys: tuple, subtract: bool) -> tuple:
+    """The canonical term tuple of xs + ys (xs - ys when subtract), both
+    canonical, merged in one ordered pass."""
+    if not ys:
+        return xs
+    if not xs and not subtract:
+        return ys
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        bx, cx = xs[i]
+        by, cy = ys[j]
+        if bx == by:
+            c = cx - cy if subtract else cx + cy
+            if c:
+                out.append((bx, c))
+            i += 1
+            j += 1
+        elif _basis_order(bx) <= _basis_order(by):
+            out.append(xs[i])
+            i += 1
+        else:
+            out.append((by, -cy) if subtract else ys[j])
+            j += 1
+    out.extend(xs[i:])
+    out.extend(((b, -c) for b, c in ys[j:]) if subtract else ys[j:])
+    return tuple(out)
 
 
 def _as_surd(x) -> Surd:
@@ -260,19 +291,19 @@ def _echelon(rows: list[list[int]], columns: int) -> list[int]:
 def integer_kernel(rows: Sequence[Sequence[Rational]], dim: int) -> list[list[int]]:
     """Saturated basis of {x in Z^dim : M x = 0} for a rational matrix M.
 
-    Clears denominators row-wise, then runs _echelon on [M^T | I]:
-    unimodular row operations preserve the row lattice, so the
-    identity-part of every row whose M^T-part vanishes is a kernel member,
-    and together those rows form a basis of the full integer kernel (no
-    finite-index defect).
+    Entries are ints or Fractions.  Clears denominators row-wise (each
+    entry x becomes its numerator times den // x.denominator, with den the
+    row's lcm denominator), then runs _echelon on [M^T | I]: unimodular
+    row operations preserve the row lattice, so the identity-part of every
+    row whose M^T-part vanishes is a kernel member, and together those rows
+    form a basis of the full integer kernel (no finite-index defect).
     """
     cleared: list[list[int]] = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        if len(fr) != dim:
+        if len(row) != dim:
             raise ValueError("row length mismatch")
-        den = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        ints = [int(f * den) for f in fr]
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
         if any(ints):
             cleared.append(ints)
     b = len(cleared)
@@ -297,19 +328,23 @@ class RelationLattice:
         for g in self.generators:
             if len(g) != dim:
                 raise ValueError("generator length mismatch")
-        rows = [list(g) for g in self.generators]
-        pivots = _echelon(rows, dim)
-        self._echelon = list(zip(rows, pivots))
+        self._reduced = None  # (row, pivot) pairs, echelonned on first use
+
+    def _basis(self) -> list[tuple[list[int], int]]:
+        if self._reduced is None:
+            rows = [list(g) for g in self.generators]
+            self._reduced = list(zip(rows, _echelon(rows, self.dim)))
+        return self._reduced
 
     @property
     def rank(self) -> int:
-        return len(self._echelon)
+        return len(self._basis())
 
     def contains(self, vec: Sequence[int]) -> bool:
         v = [int(x) for x in vec]
         if len(v) != self.dim:
             return False
-        for row, piv in self._echelon:
+        for row, piv in self._basis():
             if v[piv] == 0:
                 continue
             q, r = divmod(v[piv], row[piv])
@@ -344,12 +379,14 @@ def _row_order(basis) -> tuple:
 
 
 def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):
-    """Solve c*x = d (mod 1) jointly for rational x, one rational pair
-    (c, d) per row.
+    """Solve c*x = d (mod 1) jointly for rational x, one pair (c, d) of
+    ints or Fractions per row.
 
     A row with c != 0 allows the progression d/c + Z/|c|; a row with c == 0
     allows every x when d is an integer and none otherwise.  Progressions
-    are intersected exactly by a gcd test.
+    are intersected exactly by a gcd test.  The solution set is carried as
+    integers, num/den + Z*sn/den over one common denominator, and made into
+    Fractions only on return.
 
     Returns ((offset, step), None) for the solutions offset + step*Z, with
     step None (and offset 0) when every x solves, or (None, i) for the
@@ -357,26 +394,35 @@ def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):
     keeps its offset d/c as given; each intersection reduces the offset
     to [0, step).
     """
-    offset, step = Fraction(0), None
+    num, sn, den = 0, None, 1
     for i, (c, d) in enumerate(rows):
-        c, d = Fraction(c), Fraction(d)
-        if c == 0:
-            if d.denominator != 1:
+        cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+        if not cn:
+            if dd != 1:
                 return None, i
             continue
-        o2, p2 = d / c, 1 / abs(c)
-        if step is None:
-            offset, step = o2, p2
+        # d/c + Z/|c| over the denominator dd*|cn|
+        n2, s2, den2 = dn * cd, cd * dd, dd * cn
+        if den2 < 0:
+            n2, den2 = -n2, -den2
+        if sn is None:
+            num, sn, den = n2, s2, den2
             continue
-        # offset + step*k == o2 + p2*j, scaled to integers a*k - b*j == gap
-        den = math.lcm(step.denominator, p2.denominator, (o2 - offset).denominator)
-        a, b, gap = int(step * den), int(p2 * den), int((o2 - offset) * den)
+        # num/den + sn/den*k == n2/den2 + s2/den2*j, scaled to integers
+        # a*k - b*j == gap over the common denominator
+        lcd = math.lcm(den, den2)
+        fa, fb = lcd // den, lcd // den2
+        a, b, gap = sn * fa, s2 * fb, n2 * fb - num * fa
         x, _, g = xgcd(a, b)
         if gap % g:
             return None, i
-        offset, step = offset + step * x * (gap // g), step * (b // g)
-        offset %= step
-    return (offset, step), None
+        sn = a * (b // g)
+        num, den = (num * fa + a * x * (gap // g)) % sn, lcd
+        common = math.gcd(num, sn, den)
+        num, sn, den = num // common, sn // common, den // common
+    if sn is None:
+        return (Fraction(0), None), None
+    return (Fraction(num, den), Fraction(sn, den)), None
 
 
 _PROBE_BUDGET = 2_000_000

@@ -185,8 +185,11 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int) -> TransferVerdict:
     sweep over [0, t_max], t_max = max(50, 20*2*pi/spread) with spread the
     width of the spectrum, on max(2001, 40*t_max + 1) points, with Newton
     refinement.  A refined maximum at t > 0 that clears 1 - PST_FIDELITY_TOL
-    is reported as PST-numeric; anything lower, or a best peak at t = 0
-    (a self pair's trivial return), as numeric evidence.
+    is reported as PST-numeric; anything lower as numeric evidence.  A best
+    peak at t = 0 is a self pair's trivial return, not transfer: the
+    earliest refined peak at t > 0 that clears 1 - PST_FIDELITY_TOL is
+    reported as PST-numeric in its place, and without one the verdict is
+    numeric evidence at t = 0.
     """
     try:
         quarrels = strong_cospectrality(dec, a, b)
@@ -216,17 +219,24 @@ def pst_verdict(dec: SpectralDecomposition, a: int, b: int) -> TransferVerdict:
     t_max = max(50.0, 20 * TWO_PI / spread)
     sweep = fidelity_sweep(dec, a, b, t_max, max(2001, int(t_max * 40) + 1))
     witness = {"mode": "numeric", "t_max": t_max}
-    if sweep.best_fidelity < 1 - PST_FIDELITY_TOL:
+    peak_t, peak_f = sweep.best_time, sweep.best_fidelity
+    notes = "numeric fidelity maximum at certification tolerance"
+    if peak_t == 0:  # a self pair's trivial return; a later one is periodicity
+        returns = [(t, f) for t, f in sweep.refined
+                   if t > 0 and f >= 1 - PST_FIDELITY_TOL]
+        if returns:
+            peak_t, peak_f = min(returns, key=lambda peak: (peak[0], -peak[1]))
+            notes = ("earliest refined peak after the trivial return at "
+                     "t = 0 at certification tolerance")
+    if peak_f < 1 - PST_FIDELITY_TOL:
         notes = "no PST found in the sweep window; max fidelity reported"
-    elif sweep.best_time == 0:
+    elif peak_t == 0:
         notes = ("best sweep peak is the trivial return at t = 0, not "
                  "transfer; max fidelity reported")
     else:
-        phase = complex(transfer_amplitude(dec, a, b)(sweep.best_time)[0])
-        return TransferVerdict(
-            "PST-numeric", time=sweep.best_time, phase=phase,
-            fidelity=sweep.best_fidelity, witness=witness,
-            notes="numeric fidelity maximum at certification tolerance")
+        phase = complex(transfer_amplitude(dec, a, b)(peak_t)[0])
+        return TransferVerdict("PST-numeric", time=peak_t, phase=phase,
+                               fidelity=peak_f, witness=witness, notes=notes)
     return TransferVerdict("numeric-evidence", time=sweep.best_time,
                            fidelity=sweep.best_fidelity, witness=witness,
                            notes=notes)
@@ -330,18 +340,22 @@ def solve_phase_congruences(generators: Sequence[Sequence[int]],
     generator g, or report the generator that makes the system infeasible.
 
     Each generator imposes t_g * x = -s_g (mod 1) with t_g = sum(g) and
-    s_g = sum g_r u_r, solved jointly by numtheory.solve_congruences.
+    s_g = sum g_r u_r, solved jointly by numtheory.solve_congruences.  The
+    turns are put over their lcm denominator once, so each s_g is one
+    integer dot product over it.
 
     Returns (x, None) with x in [0, 1) on success and (None, witness) on
     failure.
     """
-    sums = [sum(Fraction(c) * u for c, u in zip(g, turns)) for g in generators]
+    den = math.lcm(*(u.denominator for u in turns))
+    nums = [u.numerator * (den // u.denominator) for u in turns]
+    dots = [sum(c * n for c, n in zip(g, nums)) for g in generators]
     solution, i = solve_congruences(
-        (sum(g), -s_g) for g, s_g in zip(generators, sums))
+        (sum(g), Fraction(-dot, den)) for g, dot in zip(generators, dots))
     if solution is None:
         g = generators[i]
-        violation = (f"s_g = {sums[i]} not an integer" if sum(g) == 0
-                     else "incompatible congruence")
+        violation = (f"s_g = {Fraction(dots[i], den)} not an integer"
+                     if sum(g) == 0 else "incompatible congruence")
         return None, {"generator": list(g), "violation": violation,
                       "previous": [list(p) for p in generators[:i]]}
     return solution[0] % 1, None
@@ -358,7 +372,7 @@ def certify_pgst(eigenvalues_exact: Optional[Sequence[Surd]],
     superset lattice derived from trace conditions); a criterion that holds
     on a superset of the true lattice is still sufficient.
     """
-    turns = [Fraction(u) for u in turns]
+    turns = [u if isinstance(u, Fraction) else Fraction(u) for u in turns]
     if lattice is None:
         if eigenvalues_exact is None:
             raise ValueError("need exact eigenvalues or an explicit lattice")
@@ -397,7 +411,7 @@ def pgst_verdict(dec: SpectralDecomposition, a: int, b: int) -> TransferVerdict:
                   f"({a}, {b}) has {len(support)} eigenvalues with support "
                   f"norm above {SUPPORT_TOL:g}")
     elif dec.exact is None and lattice is None:
-        reason = "no exact spectrum or relation lattice supplied"
+        reason = "the decomposition carries neither exact labels nor a relation lattice"
     elif turns is None:
         reason = (f"quarrels of pair ({a}, {b}) are not all recognized "
                   "rational multiples of 2*pi")

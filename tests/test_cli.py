@@ -9,6 +9,7 @@ import pytest
 
 from qwalk.cli import build_parser, main
 from qwalk.constructions import FAMILIES
+from qwalk.transfer import PST_FIDELITY_TOL
 
 
 def run_cli(capsys, *argv):
@@ -40,16 +41,30 @@ def test_pst_check_deterministic(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("hypercube", "--m", "1", "--from", "3", "--to", "3"),
     ("oriented-cycle", "--n", "5", "--from", "0", "--to", "0"),
 ])
 def test_self_pair_trivial_return_is_not_numeric_pst(capsys, flags):
-    # F(0) = 1 for a self pair: a best sweep peak at t = 0 is no transfer
+    # F(0) = 1 for a self pair: a best sweep peak at t = 0 is no transfer,
+    # and this one's best peak after t = 0 is 0.99938
     code, out, _ = run_cli(capsys, "pst-check", "--family", *flags)
     assert code == 0
     verdict = json.loads(out)
     assert (verdict["kind"], verdict["time"]) == ("numeric-evidence", 0.0)
     assert verdict["notes"].startswith("best sweep peak is the trivial return at t = 0")
+
+
+def test_periodic_self_pair_is_numeric_pst_at_first_return(capsys):
+    # the hypercube m=1 walk returns to vertex 3 at t = pi: the earliest
+    # refined peak after the trivial return at t = 0 reaches the tolerance
+    code, out, _ = run_cli(capsys, "pst-check", "--family", "hypercube",
+                           "--m", "1", "--from", "3", "--to", "3")
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["kind"] == "PST-numeric"
+    assert verdict["witness"]["mode"] == "numeric"
+    assert abs(verdict["time"] - math.pi) <= 1e-9
+    assert verdict["fidelity"] >= 1 - PST_FIDELITY_TOL
+    assert verdict["notes"].startswith("earliest refined peak after the trivial return")
 
 
 def test_classify_star_range(capsys):
@@ -239,8 +254,8 @@ def test_pgst_check_looped_path_rational_loop_weight_is_numeric(capsys, gamma):
     assert verdict["kind"] == "numeric-evidence"
     assert verdict["witness"]["mode"] == "numeric"
     assert verdict["notes"] == (
-        "exact PGST check unavailable (no exact spectrum or relation lattice "
-        "supplied); sweep evidence only; loop weight gamma = "
+        "exact PGST check unavailable (the decomposition carries neither exact "
+        "labels nor a relation lattice); sweep evidence only; loop weight gamma = "
         f"{Fraction(gamma)} is rational: no exact PGST check")
 
 
@@ -281,7 +296,7 @@ def test_warnings_are_one_stderr_line_each(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["kind"] == "absent-certified"
-        assert err == ("warning: 1 eigenvalue gap(s) within 10x cluster_tol; "
+        assert err == ("warning: 1 eigenvalue gap(s) within 10x CLUSTER_TOL; "
                        "clustering may be ambiguous\n")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -16,6 +18,7 @@ from qwalk.numtheory import (PI, PROBE_TOL, DimensionTooLarge, Surd, Transcenden
                              relation_lattice, solve_congruences,
                              square_free_part)
 from qwalk.star import star_support_surds
+from qwalk.transfer import certify_pgst
 
 
 # --- square-free decomposition ---------------------------------------------
@@ -167,6 +170,46 @@ def test_surd_arithmetic_is_canonical(x, y, q):
         assert repr(got) == repr(want)
 
 
+def test_surd_sqrt_matches_constructor():
+    for n in range(1, 80):
+        for c in (0, 1, -3, Fraction(2, 7), Fraction(-9, 4)):
+            got, want = Surd.sqrt(n, c), Surd(0, {n: c})
+            assert got._terms == want._terms and repr(got) == repr(want)
+            assert all(type(coeff) is Fraction for _, coeff in got._terms)
+    assert Surd.sqrt(7, 0).is_zero() and Surd.sqrt(0, 0).is_zero()
+    with pytest.raises(ValueError):
+        Surd.sqrt(0)
+
+
+LAMBDA = Transcendental("lambda", math.sqrt(2))
+
+
+@pytest.mark.parametrize("x, y", [
+    # full cancellation, of radicals, of the rational part and of symbols
+    ((2, {3: 1, 12: Fraction(1, 2)}, {}), (2, {3: 2}, {})),
+    ((0, {5: -1}, {PI: 3}), (0, {20: Fraction(-1, 2)}, {PI: 3})),
+    # symbols on one side only, and on both in name order
+    ((1, {2: 1}, {PI: 1}), (Fraction(1, 3), {}, {})),
+    ((0, {}, {LAMBDA: 1}), (0, {7: 2}, {PI: -1, LAMBDA: 1})),
+    ((0, {}, {PI: 2}), (1, {}, {LAMBDA: 1})),
+    # disjoint radicals interleaving, one side zero, perfect squares
+    ((0, {2: 1, 7: 1}, {}), (Fraction(-5, 2), {3: 1, 11: 4}, {})),
+    ((0, {}, {}), (Fraction(1, 9), {4: 1, 6: -1}, {PI: 2})),
+    ((0, {9: 1}, {}), (-3, {}, {})),
+])
+def test_surd_sum_and_difference_match_rebuild(x, y):
+    a, b = Surd(*x), Surd(*y)
+    for got, want in ((a + b, constructed((1, x), (1, y))),
+                      (a - b, constructed((1, x), (-1, y))),
+                      (b - a, constructed((1, y), (-1, x))),
+                      (a - a, Surd(0)),
+                      (a + Surd.sqrt(5, 0), a)):
+        assert got._terms == want._terms and repr(got) == repr(want)
+    assert (a - b).is_zero() == (a == b)
+    assert 2 + a == a + 2 == constructed((1, x), (1, (2, {}, {})))
+    assert 2 - a == constructed((1, (2, {}, {})), (-1, x))
+
+
 STAR_SUPPORT_PINS = {
     1: (["1", "-1", "1/2*sqrt(3) + 1/2*sqrt(7)", "1/2*sqrt(3) - 1/2*sqrt(7)",
          "-1/2*sqrt(3) + 1/2*sqrt(7)", "-1/2*sqrt(3) - 1/2*sqrt(7)"],
@@ -288,6 +331,52 @@ def test_integer_kernel_saturation():
     assert gens == [[2, -1]] or gens == [[-2, 1]]
 
 
+# sha256 over m = 1..1000 of json.dumps(verdict.to_json(), sort_keys=True)
+# plus a newline, for certify_pgst on the star supports, taken on the
+# Fraction-based kernels before they moved to integer numerators
+STAR_PGST_SHA256 = "c3dff74c09a7b67a38e4b1e734d9cf8d8857a11ed753e6cc39ce781e3a3d5e6d"
+
+
+def test_star_certify_pgst_outputs_pinned():
+    digest = hashlib.sha256()
+    for m in range(1, 1001):
+        verdict = certify_pgst(*star_support_surds(m))
+        digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == STAR_PGST_SHA256
+
+
+def integer_kernel_reference(rows, dim):
+    # the Fraction clearing integer_kernel replaced, kept as the oracle
+    cleared = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = math.lcm(*(f.denominator for f in fr)) if fr else 1
+        ints = [int(f * den) for f in fr]
+        if any(ints):
+            cleared.append(ints)
+    b = len(cleared)
+    work = [[cleared[i][j] for i in range(b)] + [int(jj == j) for jj in range(dim)]
+            for j in range(dim)]
+    rank = len(numtheory._echelon(work, b))
+    return [numtheory._canonical_sign(row[b:]) for row in work[rank:]]
+
+
+def test_integer_kernel_on_mixed_int_and_fraction_rows():
+    rng = np.random.default_rng(2311)
+    for _ in range(200):
+        dim, count = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        rows = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 30)))
+                 if rng.integers(2) else int(rng.integers(-3, 4))
+                 for _ in range(dim)] for _ in range(count)]
+        gens = integer_kernel(rows, dim)
+        assert gens == integer_kernel_reference(rows, dim), rows
+        for g in gens:
+            assert all(type(x) is int for x in g)
+            assert all(sum(c * x for c, x in zip(row, g)) == 0 for row in rows)
+    with pytest.raises(ValueError):
+        integer_kernel([[1, Fraction(1, 2)]], 3)
+
+
 # --- linear congruences -----------------------------------------------------
 
 def _grid_solutions(rows, grid):
@@ -338,6 +427,62 @@ def test_solve_congruences_edge_cases():
     # x = 1/3 (mod 1) and x/2 = 2/3 (mod 1): x = 4/3 (mod 2)
     assert solve_congruences([(1, Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3))]) == (
         (Fraction(4, 3), Fraction(2)), None)
+
+
+def solve_congruences_reference(rows):
+    # the Fraction implementation the integer one replaced, kept as the oracle
+    offset, step = Fraction(0), None
+    for i, (c, d) in enumerate(rows):
+        c, d = Fraction(c), Fraction(d)
+        if c == 0:
+            if d.denominator != 1:
+                return None, i
+            continue
+        o2, p2 = d / c, 1 / abs(c)
+        if step is None:
+            offset, step = o2, p2
+            continue
+        den = math.lcm(step.denominator, p2.denominator, (o2 - offset).denominator)
+        a, b, gap = int(step * den), int(p2 * den), int((o2 - offset) * den)
+        x, _, g = numtheory.xgcd(a, b)
+        if gap % g:
+            return None, i
+        offset, step = offset + step * x * (gap // g), step * (b // g)
+        offset %= step
+    return (offset, step), None
+
+
+def test_solve_congruences_matches_fraction_reference():
+    # large-denominator and negative c, zero-c rows with integral and
+    # fractional d, and rows built to be consistent with a hidden solution
+    rng = np.random.default_rng(2312)
+    outcomes = set()
+    for _ in range(600):
+        x = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 40)))
+        rows = []
+        for _ in range(int(rng.integers(0, 6))):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                rows.append((0, Fraction(int(rng.integers(-6, 7)),
+                                         int(rng.choice([1, 1, 2, 3])))))
+                continue
+            c = Fraction(int(rng.integers(-10**6, 10**6)) or 1,
+                         int(rng.integers(1, 10**6)))
+            if kind == 1:  # consistent with x
+                d = c * x + int(rng.integers(-5, 6))
+            elif kind == 2:
+                c = int(rng.integers(-12, 13))
+                d = c * x - int(rng.integers(-5, 6))
+            else:
+                d = Fraction(int(rng.integers(-10**4, 10**4)), int(rng.integers(1, 10**4)))
+            rows.append((c, d))
+        got, want = solve_congruences(rows), solve_congruences_reference(rows)
+        assert got == want, rows
+        if got[0] is not None:
+            assert all(type(v) is Fraction for v in got[0] if v is not None)
+        outcomes.add("none" if got[0] is None else "all" if got[0][1] is None
+                     else "progression")
+    assert outcomes == {"none", "all", "progression"}
 
 
 # --- float relation probe ---------------------------------------------------

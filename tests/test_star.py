@@ -72,6 +72,17 @@ def test_classifier_agrees_with_generic_checker():
         assert certify_pgst(values, turns).certified == closed, m
 
 
+def test_classifier_agrees_with_generic_checker_past_the_battery():
+    # the battery checks m <= 200; this range adds the 27k^2 rows 243, 432,
+    # 675, 972 and the 27k^2 + 27k + 6 rows 330, 546, 816
+    cases = set()
+    for m in range(201, 1001):
+        verdict = classify_star_m(m)
+        cases.add(verdict.case)
+        assert certify_pgst(*star_support_surds(m)).certified == verdict.pgst, m
+    assert cases == {"coprime", "non-square-s", "27k^2", "27k^2+27k+6", "none"}
+
+
 def test_verdict_invariant_pgst_iff_case():
     for m in range(1, 201):
         verdict = classify_star_m(m)

@@ -456,8 +456,8 @@ def test_pgst_fallback_notes_name_the_reason():
     fam = one_way_family_4(math.sqrt(2))
     dec = spectral_decomposition(fam.matrix)
     assert pgst_verdict(dec, 0, 2).notes == (
-        "exact PGST check unavailable (no exact spectrum or relation lattice "
-        "supplied); sweep evidence only")
+        "exact PGST check unavailable (the decomposition carries neither exact "
+        "labels nor a relation lattice); sweep evidence only")
     # the quarrels 0, pi, lambda, lambda + pi are not all rational turns
     verdict = pgst_verdict(fam.decomposition(), 2, 0)
     assert verdict.kind == "numeric-evidence"
