@@ -42,10 +42,12 @@ def test_pst_check_deterministic(capsys):
 
 @pytest.mark.parametrize("flags", [
     ("oriented-cycle", "--n", "5", "--from", "0", "--to", "0"),
+    ("oriented-cycle", "--n", "7", "--from", "0", "--to", "0"),
 ])
 def test_self_pair_trivial_return_is_not_numeric_pst(capsys, flags):
     # F(0) = 1 for a self pair: a best sweep peak at t = 0 is no transfer,
-    # and this one's best peak after t = 0 is 0.99938
+    # and no refined peak after t = 0 reaches PST_FIDELITY_TOL (n = 5's
+    # best is 0.99938)
     code, out, _ = run_cli(capsys, "pst-check", "--family", *flags)
     assert code == 0
     verdict = json.loads(out)
