@@ -10,6 +10,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -279,7 +280,15 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             _check_numbers(args)
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader stopped early (| head): not an analysis failure.
+            # What is still buffered goes to devnull, so the flush at
+            # interpreter exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         except (FlagError, BadFamilyParameters) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2

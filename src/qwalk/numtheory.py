@@ -427,9 +427,6 @@ def solve_congruences(rows: Iterable[tuple[Rational, Rational]]):
 
 _PROBE_BUDGET = 2_000_000
 PROBE_TOL = 1e-9
-# codes float_relation_probe enumerates at once: 64 KB per array stays in
-# cache, and larger chunks were slower and raised the battery's peak RSS
-PROBE_CHUNK = 1 << 13
 
 
 def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int, ...]]:
@@ -438,8 +435,21 @@ def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int,
 
     Vectors are canonicalized so their first nonzero entry is positive, and
     returned in the order of their codes sum_r (l_r + bound)*(2*bound + 1)**r.
-    The codes are enumerated PROBE_CHUNK at a time; each sum is accumulated
-    left to right from 0.0, so it is the float Python's sum() gives.
+    Each sum is accumulated left to right from 0.0, so it is the float
+    Python's sum() gives, and the result is exactly that of testing every
+    code.
+
+    Meet in the middle: the sums s_lo over the first ceil(d/2) values and
+    s_hi over the rest are tabled, and searchsorted on the sorted s_hi table
+    pairs each s_lo with the s_hi in [-s_lo - w, -s_lo + w], w = PROBE_TOL
+    + slack.  Only those candidates are summed left to right and tested.
+    No hit is lost: with M = bound * sum_r |v_r| and gamma_d = u*d/(1 - u*d),
+    u = eps/2, the left-to-right sum and s_lo + s_hi each lie within
+    gamma_d*M of the exact sum, so they differ by at most 2*gamma_d*M
+    (about d*eps*M), and slack = 4*d*eps*(M + PROBE_TOL) also covers the
+    rounding of the window ends and of slack itself, and underflow.  When
+    2*M is not finite (an inf or nan value, or one near overflow), every
+    code is a candidate.
     """
     if bound > 50:
         raise ValueError("bound must be <= 50")
@@ -447,26 +457,49 @@ def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int,
     if d * math.log(2 * bound + 1) > math.log(_PROBE_BUDGET):
         raise DimensionTooLarge(
             f"(2*{bound}+1)^{d} exceeds the enumeration budget")
-    out = []
     radix = 2 * bound + 1
-    total = radix ** d
-    for start in range(0, total, PROBE_CHUNK):
-        rest = np.arange(start, min(start + PROBE_CHUNK, total))
-        acc = np.zeros(len(rest))
-        first = np.zeros(len(rest), dtype=rest.dtype)  # first nonzero entry
-        for v in values:
-            digit = rest % radix - bound
-            rest //= radix
-            acc += digit * v
-            first = np.where(first == 0, digit, first)
-        hits = np.flatnonzero((first > 0) & (np.abs(acc) <= PROBE_TOL))
-        for code in (start + hits).tolist():
-            vec = []
-            for _ in range(d):
-                vec.append(code % radix - bound)
-                code //= radix
-            out.append(tuple(vec))
-    return out
+    floats = [float(v) for v in values]
+    scale = bound * sum(abs(v) for v in floats)
+    if math.isfinite(2 * scale):
+        width = PROBE_TOL + 4 * d * np.finfo(float).eps * (scale + PROBE_TOL)
+        half = (d + 1) // 2
+        lo_sum, _ = _left_to_right_sums(np.arange(radix ** half), floats[:half],
+                                        radix, bound)
+        hi_sum, _ = _left_to_right_sums(np.arange(radix ** (d - half)), floats[half:],
+                                        radix, bound)
+        order = np.argsort(hi_sum)
+        hi_sorted = hi_sum[order]
+        start = np.searchsorted(hi_sorted, -lo_sum - width, "left")
+        count = np.searchsorted(hi_sorted, -lo_sum + width, "right") - start
+        lo = np.repeat(np.arange(len(lo_sum)), count)
+        # position of each pair in its lo code's run of the sorted table
+        pos = np.arange(len(lo)) - np.repeat(np.cumsum(count) - count, count) + start[lo]
+        codes = np.sort(lo + order[pos] * radix ** half)
+    else:
+        codes = np.arange(radix ** d)
+    acc, first = _left_to_right_sums(codes, values, radix, bound)
+    hits = codes[(first > 0) & (np.abs(acc) <= PROBE_TOL)]
+    vecs = []
+    for _ in range(d):
+        vecs.append(hits % radix - bound)
+        hits = hits // radix
+    return list(zip(*(v.tolist() for v in vecs)))
+
+
+def _left_to_right_sums(codes: np.ndarray, values: Sequence[float], radix: int,
+                        bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each code, sum_r l_r v_r accumulated left to right from 0.0 over
+    its digits l_r = (code // radix**r) % radix - bound, and its first
+    nonzero digit (0 for the zero vector)."""
+    rest = codes
+    acc = np.zeros(len(codes))
+    first = np.zeros(len(codes), dtype=codes.dtype)
+    for v in values:
+        digit = rest % radix - bound
+        rest = rest // radix
+        acc += digit * v
+        first = np.where(first == 0, digit, first)
+    return acc, first
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,9 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
     large steps is.  While the blocks go by it keeps the running grid
     maximum, every grid peak within slope*spacing/2 of it (a block's last
     point waits for the next block's first value) and the REFINE_TOP best
-    grid points (the earliest of equal ones).  slope = sum_r |E_r[b, a]|
+    grid points (the earliest of equal ones; a block whose maximum does not
+    beat the last of a full top list leaves it as it is, since its later
+    points lose every tie).  slope = sum_r |E_r[b, a]|
     |theta_r - mid| bounds |d/dt U(t)[b, a]| up to a global phase, so no
     lower grid peak can hide the maximum.  _refine_peaks refines each kept
     point, and a point whose refinement falls below it stays as it is.  The
@@ -528,7 +530,8 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
     top_i, top_f = np.empty(0, dtype=np.int64), np.empty(0)  # best first
     for lo, fid in _grid_fidelities(thetas, coeffs, spacing, steps):
         n = len(fid)
-        best = max(best, float(fid.max()))
+        block_best = float(fid.max())
+        best = max(best, block_best)
         k = np.flatnonzero(fid >= best - margin)
         f = fid[k]
         peak = ((f > np.where(k > 0, fid[k - 1], last))
@@ -544,6 +547,8 @@ def fidelity_sweep(dec: SpectralDecomposition, a: int, b: int,
         peak_i = np.concatenate((peak_i[keep], new_i))
         peak_f = np.concatenate((peak_f[keep], new_f))
         last = float(fid[-1])
+        if len(top_f) == top and block_best <= top_f[-1]:
+            continue  # every point ties or trails the top list's last
         j = n - min(top, n)
         c = np.flatnonzero(fid >= np.partition(fid, j)[j])
         cand_i, cand_f = np.concatenate((top_i, c + lo)), np.concatenate((top_f, fid[c]))

@@ -488,6 +488,27 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[1].startswith("6,27k^2+27k+6,true")
 
 
+def test_closed_stdout_is_not_an_analysis_failure():
+    # a reader that stops after one line (| head -1); the 1.2 MB the
+    # command still has to write exceed any pipe buffer, so its writes fail
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-m", "qwalk", "classify-star",
+                             "--m", "1..50000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"m,case,pgst,s,h,k\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 MODE_CASES = [
     ("oriented-k2", (), (0, 1)),
     ("oriented-k3", (), (0, 2)),

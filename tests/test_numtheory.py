@@ -538,25 +538,95 @@ def seeded_probe_inputs(count):
         yield values, int(rng.integers(0, max_bound[d] + 1))
 
 
-def test_probe_matches_reference_loop(monkeypatch):
+def test_probe_matches_reference_loop():
     inputs = list(seeded_probe_inputs(300))
     expected = [probe_reference(values, bound) for values, bound in inputs]
     assert sum(map(len, expected)) > 1000
     assert {len(values) for values, _ in inputs} == {1, 2, 3, 4}
-    for chunk in (numtheory.PROBE_CHUNK, 37):  # 37: many chunk boundaries
-        monkeypatch.setattr(numtheory, "PROBE_CHUNK", chunk)
-        for (values, bound), want in zip(inputs, expected):
-            assert float_relation_probe(values, bound) == want, (values, bound)
+    for (values, bound), want in zip(inputs, expected):
+        assert float_relation_probe(values, bound) == want, (values, bound)
 
 
-def test_probe_spans_chunks():
-    # (2*10 + 1)^4 codes are more than one chunk; (1, 1, -1, 0) and its
+def test_probe_splits_four_terms():
+    # the first two terms against the last two; (1, 1, -1, 0) and its
     # multiples are the relations
     values = [1.0, math.sqrt(2), 1.0 + math.sqrt(2), math.pi]
-    assert 21 ** 4 > numtheory.PROBE_CHUNK
     got = float_relation_probe(values, 10)
     assert got == probe_reference(values, 10)
     assert (1, 1, -1, 0) in got and (10, 10, -10, 0) in got
+
+
+def probe_chunked(values, bound, chunk=1 << 13):
+    # the chunked enumeration the split search replaced, kept as an oracle:
+    # every code summed left to right from 0.0
+    d = len(values)
+    out = []
+    radix = 2 * bound + 1
+    total = radix ** d
+    for start in range(0, total, chunk):
+        rest = np.arange(start, min(start + chunk, total))
+        acc = np.zeros(len(rest))
+        first = np.zeros(len(rest), dtype=rest.dtype)
+        for v in values:
+            digit = rest % radix - bound
+            rest //= radix
+            acc += digit * v
+            first = np.where(first == 0, digit, first)
+        hits = np.flatnonzero((first > 0) & (np.abs(acc) <= PROBE_TOL))
+        for code in (start + hits).tolist():
+            vec = []
+            for _ in range(d):
+                vec.append(code % radix - bound)
+                code //= radix
+            out.append(tuple(vec))
+    return out
+
+
+def tol_edge_inputs(count):
+    """Values near 1e6 with relations whose float sums land within rounding
+    (about 1e-10 at this size) of +-PROBE_TOL, where the summation order
+    decides a hit."""
+    rng = np.random.default_rng(24)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        values = [1e6 + float(rng.uniform(-1, 1)) for _ in range(d - 1)]
+        coeffs = rng.integers(-2, 3, size=d - 1)
+        edge = float(rng.choice([1, -1])) * PROBE_TOL
+        edge *= 1 + float(rng.uniform(-1e-6, 1e-6))
+        values.append(float(sum(int(c) * v for c, v in zip(coeffs, values))) + edge)
+        yield values, int(rng.integers(1, 4))
+
+
+def test_probe_matches_chunked_enumeration():
+    cases = [
+        ([math.sqrt(2), -math.pi, math.sqrt(2) - math.pi], 50),  # d = 3
+        ([1.0, math.sqrt(3), 2.0, 1.0 - math.sqrt(3)], 10),       # d = 4
+        ([0.0] * 4, 10),                                          # every code a hit
+        ([0.0] * 3, 0),
+        ([], 5),
+        ([5e-324, 0.0, -5e-324], 30),                             # subnormal
+        ([1e300, -1e300, 2e300], 20),
+        *tol_edge_inputs(200),
+    ]
+    hits = 0
+    for values, bound in cases:
+        got = float_relation_probe(values, bound)
+        assert got == probe_chunked(values, bound), (values, bound)
+        hits += len(got)
+    assert len(float_relation_probe([0.0] * 4, 10)) == (21 ** 4 - 1) // 2
+    assert hits > (21 ** 4 - 1) // 2 + 200
+
+
+@pytest.mark.parametrize("values, bound, hits", [
+    ([math.inf, 1.0, 2.0], 3, 0), ([1.0, -math.inf], 3, 0),
+    ([math.nan, 1.0, 2.0], 3, 0), ([1.0, 2.0, math.nan], 3, 0),
+    ([1e307, -1e307], 50, 17),  # 2*M overflows: every code is a candidate
+])
+def test_probe_non_finite_sums_match_chunked_enumeration(values, bound, hits):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = float_relation_probe(values, bound)
+        assert got == probe_chunked(values, bound)
+    assert len(got) == hits
 
 
 def test_probe_budget():

@@ -669,6 +669,37 @@ def test_kept_point_at_a_block_edge_is_kept(monkeypatch, case):
                 whole.best_time, whole.best_fidelity)
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_block_trailing_a_full_top_list_leaves_it_unchanged(monkeypatch, above):
+    # the first block plants the five best grid points 0.9 .. 0.5 over a
+    # floor of at most 0.4; later blocks reach 0.5 exactly (they lose the
+    # tie to the earlier point, so the top list stays as it is) or one ulp
+    # above it (they displace it): the blocked sweep keeps and refines the
+    # points of the whole-grid rule
+    from qwalk import transfer
+    dec, a, b, t_max = _grid_cases(5)
+    steps = 20_001
+    rng = np.random.default_rng(24)
+    fid = rng.uniform(0.0, 0.4, steps)
+    fid[[300, 900, 1500, 2100, 2700]] = [0.9, 0.8, 0.7, 0.6, 0.5]
+    later = 0.5 if not above else float(np.nextafter(0.5, 1.0))
+    fid[[9000, 9001, 17000]] = later
+    edges = [0, 4000, 8000, 12000, 16000, steps]
+
+    def sweep(blocks):
+        monkeypatch.setattr(transfer, "_grid_fidelities", lambda *args: (
+            (lo, fid[lo:hi]) for lo, hi in zip(blocks, blocks[1:])))
+        return fidelity_sweep(dec, a, b, t_max, steps)
+
+    whole, blocked = sweep([0, steps]), sweep(edges)
+    kept = _whole_grid_kept_points(dec, a, b, fid, t_max / (steps - 1))
+    assert kept.tolist() == [300, 900, 1500, 2100, 9000 if above else 2700]
+    assert len(blocked.refined) == len(kept)
+    assert blocked.refined == whole.refined
+    assert (blocked.best_time, blocked.best_fidelity) == (
+        whole.best_time, whole.best_fidelity)
+
+
 def test_sweep_reports_earliest_of_equal_peaks():
     # the oriented 7-cube has PST between antipodal vertices at every odd
     # multiple of pi/2; the reported time is the first one
