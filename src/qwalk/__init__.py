@@ -8,8 +8,8 @@ from .constructions import (FamilyBundle, OrientedGraph, build_family,
                             one_way_family_8, oriented_cycle,
                             oriented_hypercube, oriented_k2, oriented_k3,
                             oriented_to_hermitian, rooted_looped_path_product,
-                            rooted_star_product, rooted_star_spectrum,
-                            upst_circulant)
+                            rooted_product, rooted_star_product,
+                            rooted_star_spectrum, upst_circulant)
 from .linalg import (HermitianMatrix, SpectralDecomposition,
                      hermitian_from_entries, kron, spectral_decomposition,
                      transition_matrix)

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 from .constructions import (FAMILIES, BadFamilyParameters, FamilyBundle,
                            build_family, build_family_spec)
@@ -135,7 +136,7 @@ def _transfer_check(args, decide) -> int:
     _check_vertices(args, bundle.matrix.dim)
     verdict = decide(bundle.decomposition(), args.frm, args.to)
     if bundle.notes:
-        verdict.notes = (verdict.notes + "; " + bundle.notes).strip("; ")
+        verdict = replace(verdict, notes=(verdict.notes + "; " + bundle.notes).strip("; "))
     with _out_stream(args) as fh:
         json.dump(verdict.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -44,11 +44,7 @@ class AssemblyMismatch(RuntimeError):
     pass
 
 
-class NonHermitianResult(RuntimeError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class FamilyBundle:
     """A built family: matrix plus, where the family affords one, its
     closed-form spectral decomposition, carrying exact eigenvalues or a
@@ -183,7 +179,7 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circulant:
     matrix: HermitianMatrix
     thetas: list[Fraction]  # eigenvalue for Fourier vector j, ordered by j
@@ -218,22 +214,49 @@ def upst_circulant(n: int, alpha, beta, h: int,
 
 
 # ---------------------------------------------------------------------------
-# Rooted star product
+# Rooted products: stars and looped paths
 # ---------------------------------------------------------------------------
 
+def rooted_product(h_x: HermitianMatrix, rooted, root: int) -> HermitianMatrix:
+    """The rooted product of X with a rooted graph R: a copy of R at every
+    vertex x of X, its root identified with x.  rooted is R's k x k real
+    symmetric matrix A_R, loops on its diagonal.  H = E_root (x) H_X + A_R
+    (x) I_n in position-major order: vertex (i, x), position i of the copy
+    at x, is index i*n + x, so X sits at indices root*n .. root*n + n - 1.
+
+    On kron(R^k, V_r), V_r base eigenvectors for theta_r, H acts as A_R +
+    theta_r e_root e_root^T: each eigenpair (mu, u) of that k x k matrix
+    (branch_eigenpairs) gives the eigenvector block kron(u, V_r) for mu."""
+    a_r = np.asarray(rooted, dtype=float)
+    unit = np.zeros_like(a_r)
+    unit[root, root] = 1.0
+    return hermitian_from_entries(kron(unit, h_x.array)
+                                  + kron(a_r, np.eye(h_x.dim)))
+
+
+def branch_eigenpairs(rooted, root: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenpairs of A_R + theta e_root e_root^T for every
+    base eigenvalue theta in thetas, in one batched eigh: eigenvalues of
+    shape (len(thetas), k), eigenvectors (len(thetas), k, k) by column."""
+    branches = np.repeat(np.asarray(rooted, dtype=float)[None], len(thetas), axis=0)
+    branches[:, root, root] += thetas
+    return np.linalg.eigh(branches)
+
+
+def _star(m: int) -> np.ndarray:
+    """The matrix of the star K_{1,m}, centre first."""
+    star = np.zeros((m + 1, m + 1))
+    star[0, 1:] = star[1:, 0] = 1.0
+    return star
+
+
 def rooted_star_product(h_x: HermitianMatrix, m: int) -> HermitianMatrix:
-    """Attach an m-star to every vertex of X; vertex k of X is index k, its
-    pendant vertices are n + k*m .. n + (k+1)*m - 1 in block order."""
+    """rooted_product of X with the m-star rooted at its centre: vertex k of
+    X is index k, its pendant i = 1..m is index i*n + k."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    n = h_x.dim
-    check_kron_dim((m + 1) * n)
-    unit = np.zeros((m + 1, m + 1))
-    unit[0, 0] = 1.0
-    star = np.zeros((m + 1, m + 1))
-    star[0, 1:] = 1.0
-    star[1:, 0] = 1.0
-    return hermitian_from_entries(kron(unit, h_x.array) + kron(star, np.eye(n)))
+    check_kron_dim((m + 1) * h_x.dim)
+    return rooted_product(h_x, _star(m), 0)
 
 
 def rooted_star_spectrum(base: SpectralDecomposition, m: int) -> SpectralDecomposition:
@@ -241,40 +264,33 @@ def rooted_star_spectrum(base: SpectralDecomposition, m: int) -> SpectralDecompo
     from h_x's decomposition base as closed_form labels it.
 
     Each eigenvalue theta_r = c*sqrt(d) of X (c rational) with eigenvector
-    block V_r gives the eigenvalues lambda = (theta_r +/- sqrt(theta_r^2 +
-    4m))/2 of star_pair with block kron(w/|w|, V_r), w = (lambda, 1, ..., 1); for m > 1,
-    eigenvalue 0 has block kron((0, h), I_n) over a sum-zero (Helmert)
-    basis h of R^m.  lambda(-) < 0 < lambda(+), both growing with theta_r."""
+    block V_r gives the branch eigenpairs of the star with theta_r at the
+    centre.  Ascending, their eigenvalues are lambda(-) < 0 (m - 1 times) <
+    lambda(+), lambda(+/-) = (theta_r +/- sqrt(theta_r^2 + 4m))/2 from
+    star_pair; the order is forced, as lambda(+)*lambda(-) = -m.  Eigenpair
+    (mu, u) gives the block kron(u, V_r), labelled in that order."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    n = base.dim
+    _, vecs = branch_eigenpairs(_star(m), 0, base.eigenvalues)
     labels, blocks = [], []
     for r, theta in enumerate(base.exact):
         d = max(theta.radical_terms, default=1)
         c = theta.ratio(Surd.sqrt(d))  # theta = c*sqrt(d)
         if c is None:
             raise ValueError(f"no star pair for the base eigenvalue {theta!r}")
-        for lam in star_pair(d, c, m):
-            w = np.ones((m + 1, 1))
-            w[0, 0] = float(lam)
-            labels.append(lam)
-            blocks.append(np.kron(w / np.linalg.norm(w), base.block(r)))
-    if m > 1:
-        helmert = np.zeros((m + 1, m - 1))
-        for k in range(1, m):
-            helmert[1:k + 1, k - 1] = 1.0
-            helmert[k + 1, k - 1] = -k
-            helmert[:, k - 1] /= math.sqrt(k * (k + 1))
-        labels.append(Surd(0))
-        blocks.append(np.kron(helmert, np.eye(n)))
+        plus, minus = star_pair(d, c, m)
+        v = base.block(r)
+        w = v.shape[1]
+        pairs = np.kron(vecs[r], v)  # eigenpair s: columns s*w .. s*w + w - 1
+        labels += [minus, plus]
+        blocks += [pairs[:, :w], pairs[:, m * w:]]
+        if m > 1:
+            labels.append(Surd(0))
+            blocks.append(pairs[:, w:m * w])
     return SpectralDecomposition.closed_form(labels, blocks)
 
 
-# ---------------------------------------------------------------------------
-# Rooted looped-path product
-# ---------------------------------------------------------------------------
-
-@dataclass
+@dataclass(frozen=True)
 class LoopedPathProduct:
     """Circulant X rooted with looped paths, position-major vertex order:
     vertex (x_h, j) sits at index (j-1)*n + h, the loop on level j=1 and the
@@ -282,25 +298,13 @@ class LoopedPathProduct:
 
     matrix: HermitianMatrix
     n: int
-    thetas: list[Fraction]  # base spectrum, ordered by Fourier index
     spectrum: SpectralDecomposition  # closed form: simple, ascending
     branches: list[int]  # Fourier index j of each eigenvalue, in that order
+    notes: str  # what spectrum.lattice assumes of gamma, or why it is None
 
     def vertex(self, h: int, level: int) -> int:
         """Index of (x_h, level) with level counted 1..m as in the labels."""
         return (level - 1) * self.n + h
-
-    def relation_superlattice(self) -> RelationLattice:
-        """Integer vectors killing both trace conditions: sum l = 0 and
-        sum_j theta_j (sum_s l_{j,s}) = 0, in eigenvalue-sorted order.
-
-        For transcendental gamma and rational base spectrum every true
-        eigenvalue relation satisfies both, so this lattice contains the
-        true one; a Kronecker check passing on it is conclusive."""
-        row_ones = [1] * len(self.branches)
-        row_theta = [self.thetas[j] for j in self.branches]
-        gens = integer_kernel([row_ones, row_theta], len(self.branches))
-        return RelationLattice(gens, len(self.branches))
 
     def quarrel_turns(self, a: int, b: int) -> list[Fraction]:
         """Exact quarrels q/(2*pi) for the level pair ((x_a,h),(x_b,h)) in
@@ -310,10 +314,9 @@ class LoopedPathProduct:
 
 def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
                                ) -> LoopedPathProduct:
-    """Assemble the mn x mn product of a Hermitian circulant with a looped
-    path and its closed-form spectrum: every eigenvector of branch j's m x m
-    path matrix (loop gamma on top, theta_j at the root), tensored with
-    Fourier vector j, is an eigenvector of the product.
+    """rooted_product of a Hermitian circulant with the m-level path, loop
+    gamma on level 1, rooted at level m, and its closed-form spectrum:
+    branch j's eigenpairs (theta_j at the root) with Fourier vector j.
 
     Every eigenvalue is simple, for every m and every real gamma, once the
     base theta_j are distinct (DuplicateEigenvalue otherwise).  Let q_k be
@@ -325,29 +328,39 @@ def rooted_looped_path_product(circ: Circulant, m: int, gamma: float
     recurrence run backwards then makes it a root of q_0 = 1, which is
     impossible.  Within a branch the unit off-diagonal makes every
     eigenvalue simple.  So the spectrum is stored unclustered, one block
-    per (branch, index), however close two floats come."""
+    per (branch, index), however close two floats come.
+
+    The spectrum's lattice holds the integer vectors killing both trace
+    conditions, sum l = 0 and sum_j theta_j (sum_s l_{j,s}) = 0.  For
+    transcendental gamma and rational base spectrum every true eigenvalue
+    relation satisfies both, so a Kronecker check passing on it is
+    conclusive.  A gamma that is evidently rational, within 1e-12 of a
+    fraction of denominator <= 64, breaks that argument and gets none."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if len(set(map(Fraction, circ.thetas))) != len(circ.thetas):
         raise DuplicateEigenvalue("base spectrum has a repeated value")
     n = circ.matrix.dim
     check_kron_dim(m * n)
-    root_block = np.zeros((m, m))
-    root_block[-1, -1] = 1.0
     path = np.eye(m, k=1) + np.eye(m, k=-1)
     path[0, 0] = gamma
-    h_z = hermitian_from_entries(kron(root_block, circ.matrix)
-                                 + kron(path, np.eye(n)))
-    thetas = np.array([float(theta) for theta in circ.thetas])
-    roots, vecs = np.linalg.eigh(path + thetas[:, None, None] * root_block)
+    roots, vecs = branch_eigenpairs(path, m - 1, [float(t) for t in circ.thetas])
     branches, s = np.divmod(np.argsort(roots, axis=None, kind="stable"), m)
     # column k: eigenvector s[k] of branch j = branches[k], (x) Fourier vector j
     vectors = vecs[branches, :, s].T[:, None, :] * dft_matrix(n)[:, branches]
+    ratio = _evident_fraction(gamma, 1.0)
+    if ratio is None:
+        notes = f"loop weight gamma = {gamma!r} assumed transcendental"
+        lattice = RelationLattice(integer_kernel(
+            [[1] * (m * n), [circ.thetas[j] for j in branches]], m * n), m * n)
+    else:
+        notes = f"loop weight gamma = {ratio} is rational: no exact PGST check"
+        lattice = None
     spectrum = SpectralDecomposition(roots[branches, s],
                                      vectors.reshape(m * n, m * n),
-                                     [1] * (m * n))
-    return LoopedPathProduct(h_z, n, list(circ.thetas), spectrum,
-                             branches.tolist())
+                                     [1] * (m * n), lattice=lattice)
+    return LoopedPathProduct(rooted_product(circ.matrix, path, m - 1), n,
+                             spectrum, branches.tolist(), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +404,8 @@ def one_way_family_4(param: float = math.sqrt(2)) -> FamilyBundle:
 def one_way_family_8(param: float = math.sqrt(2)) -> FamilyBundle:
     """8-vertex one-way family from the complex-Hadamard diagonalization
     with phase theta = param; PST 0 -> 1 at t = 1, 0 -> 2 at t = 2,
-    0 -> 3 at t = 3 (0-based)."""
+    0 -> 3 at t = 3 (0-based).  P is unitary, so the matrix is the closed
+    form's P Lambda P*."""
     theta = float(param)
     i = 1j
     e1, e2, e3 = np.exp(1j * theta), np.exp(2j * theta), np.exp(3j * theta)
@@ -405,21 +419,13 @@ def one_way_family_8(param: float = math.sqrt(2)) -> FamilyBundle:
         [i, i, -i * e2, -i * e2, 1, 1, -e2, -e2],
         [-i, i, i * e3, -i * e3, -i, i, i * e3, -i * e3]], dtype=complex)
     p = p / np.linalg.norm(p, axis=0, keepdims=True)
-    d = np.diag([0.0, math.pi, theta, theta + math.pi,
-                 math.pi / 2, 3 * math.pi / 2,
-                 theta + math.pi / 2, theta + 3 * math.pi / 2])
-    h = p @ d @ np.linalg.inv(p)
-    err = float(np.max(np.abs(h - h.conj().T)))
-    if err > 1e-10:
-        raise NonHermitianResult(
-            f"P D P^-1 deviates from Hermitian by {err:.3e}")
     tag = Transcendental("theta", theta)
     th, notes = _parameter_surd(theta, tag)
     half = Surd.symbol(PI, Fraction(1, 2))
     labels = [Surd(0), Surd.symbol(PI), th, th + Surd.symbol(PI),
               half, half * 3, th + half, th + half * 3]
-    return FamilyBundle(hermitian_from_entries(h), notes, spectrum=(
-        SpectralDecomposition.closed_form(labels, np.hsplit(p, 8))))
+    spectrum = SpectralDecomposition.closed_form(labels, np.hsplit(p, 8))
+    return FamilyBundle(hermitian_from_entries(spectrum.matrix()), notes, spectrum)
 
 
 def _parameter_surd(value: float, tag: Transcendental) -> tuple[Surd, str]:
@@ -478,20 +484,9 @@ def _looped_path_family(m, n=3, param=math.pi, alpha=0, beta=1, h=1,
                         c=None) -> FamilyBundle:
     """upst_circulant(n, alpha, beta, h, c) rooted with m-level looped
     paths of loop weight gamma = param."""
-    n, m, gamma = int(n), int(m), float(param)
     product = rooted_looped_path_product(
-        upst_circulant(n, alpha, beta, int(h), c), m, gamma)
-    ratio = _evident_fraction(gamma, 1.0)
-    if ratio is not None:
-        # a rational loop weight breaks the trace-condition argument
-        # behind relation_superlattice: no exact check applies
-        return FamilyBundle(product.matrix, notes=f"loop weight gamma = {ratio} "
-                                                  "is rational: no exact PGST check",
-                            spectrum=product.spectrum)
-    product.spectrum.lattice = product.relation_superlattice()
-    return FamilyBundle(product.matrix,
-                        notes=f"loop weight gamma = {gamma!r} assumed transcendental",
-                        spectrum=product.spectrum)
+        upst_circulant(int(n), alpha, beta, int(h), c), int(m), float(param))
+    return FamilyBundle(product.matrix, product.notes, product.spectrum)
 
 
 # Each family's builder; its keyword parameters and their defaults are the

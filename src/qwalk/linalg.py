@@ -119,20 +119,22 @@ def hermitian_from_entries(entries) -> HermitianMatrix:
 class SpectralDecomposition:
     """H = sum_r theta_r E_r with E_r = V_r V_r^*: the distinct eigenvalues
     theta_r, ascending, and the orthonormal eigenvector matrix V whose
-    consecutive column blocks V_r have the multiplicities as widths.
-    exact holds theta_r as an exact value (a Surd) for each r when the
-    decomposition was built by closed_form, else None.  lattice is None
-    unless the builder sets it: a RelationLattice over the theta_r, in this
-    order, that holds every integer relation among them (a superset will
-    do)."""
+    consecutive column blocks V_r have the multiplicities as widths, all
+    held as read-only arrays.  exact holds theta_r as an exact value (a
+    Surd) for each r when the decomposition was built by closed_form, else
+    None.  lattice is None unless the builder passes one: a RelationLattice
+    over the theta_r, in this order, that holds every integer relation among
+    them (a superset will do)."""
 
-    def __init__(self, eigenvalues, vectors, multiplicities):
-        self.exact = None
-        self.lattice = None
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+    def __init__(self, eigenvalues, vectors, multiplicities, *, exact=None,
+                 lattice=None):
+        self.exact = exact
+        self.lattice = lattice
+        self.eigenvalues = np.array(eigenvalues, dtype=float)
         self.vectors = np.array(vectors, dtype=complex)
-        self.vectors.setflags(write=False)
         self.offsets = np.cumsum([0, *multiplicities])
+        for arr in (self.eigenvalues, self.vectors, self.offsets):
+            arr.setflags(write=False)
         if (len(self.offsets) != len(self.eigenvalues) + 1
                 or np.any(np.diff(self.offsets) < 1)
                 or self.vectors.shape != (self.offsets[-1],) * 2):
@@ -141,11 +143,12 @@ class SpectralDecomposition:
 
     @classmethod
     def closed_form(cls, labels, blocks) -> "SpectralDecomposition":
-        """The columns of blocks[k] are orthonormal eigenvectors for the
-        exact eigenvalue labels[k].  Blocks with equal labels are merged and
-        orthonormalized, blocks run in ascending order and theta_r =
-        float(label); validate's reconstruction check against the matrix is
-        what proves the labels."""
+        """The columns of blocks[k] are eigenvectors for the exact eigenvalue
+        labels[k].  Blocks with equal labels are stacked as given, column for
+        column, into one block, blocks run in ascending order and theta_r =
+        float(label).  validate is what proves them: its orthonormality check
+        the stacked columns, its reconstruction check against the matrix the
+        labels."""
         merged: dict = {}
         for label, block in zip(labels, blocks):
             merged.setdefault(label, []).append(np.asarray(block, dtype=complex))
@@ -153,11 +156,9 @@ class SpectralDecomposition:
         thetas = [float(label) for label in exact]
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("distinct exact eigenvalues round to one float")
-        blocks = [np.linalg.qr(np.hstack(merged[v]))[0] if len(merged[v]) > 1
-                  else merged[v][0] for v in exact]
-        dec = cls(thetas, np.hstack(blocks), [v.shape[1] for v in blocks])
-        dec.exact = exact
-        return dec
+        return cls(thetas, np.hstack([b for v in exact for b in merged[v]]),
+                   [sum(b.shape[1] for b in merged[v]) for v in exact],
+                   exact=exact)
 
     @property
     def dim(self) -> int:

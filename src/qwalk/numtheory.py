@@ -451,8 +451,8 @@ def float_relation_probe(values: Sequence[float], bound: int) -> list[tuple[int,
     2*M is not finite (an inf or nan value, or one near overflow), every
     code is a candidate.
     """
-    if bound > 50:
-        raise ValueError("bound must be <= 50")
+    if not 0 <= bound <= 50:
+        raise ValueError(f"bound {bound} is outside 0..50")
     d = len(values)
     if d * math.log(2 * bound + 1) > math.log(_PROBE_BUDGET):
         raise DimensionTooLarge(

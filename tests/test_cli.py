@@ -130,6 +130,22 @@ def test_search_upst_output_pinned(capsys, n):
     assert digests == SEARCH_UPST_SHA256[n]
 
 
+def test_construct_star_product_vertex_layout(capsys):
+    # position-major: base vertex k is index k and its pendant i = 1..3 is
+    # index 3*i + k, so the pendants of vertex 0 are 3, 6 and 9
+    code, out, err = run_cli(capsys, "construct", "--family", "star-product", "--m", "3")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    h = np.array(payload["re"]) + 1j * np.array(payload["im"])
+    assert payload["dim"] == 12
+    assert np.array_equal(h[:3, :3], [[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
+    for k in range(3):
+        assert np.flatnonzero(h[k, 3:]).tolist() == [k, k + 3, k + 6]
+        for i in (1, 2, 3):
+            assert np.flatnonzero(h[3 * i + k]).tolist() == [k]
+            assert h[3 * i + k, k] == 1
+
+
 def test_construct_and_reload(tmp_path, capsys):
     spec = tmp_path / "family.json"
     spec.write_text(json.dumps({"family": "upst_circulant", "n": 3,

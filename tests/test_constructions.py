@@ -276,8 +276,7 @@ def test_looped_path_eigenpairs_and_quarrels():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_looped_path_eigenpairs_ascending_match_eigensolve(n, m):
     # where the eigensolver separates the spectrum, it agrees with the
-    # closed form, whose stored order relation_superlattice and
-    # quarrel_turns index
+    # closed form, whose stored order its lattice and quarrel_turns index
     product = rooted_looped_path_product(upst_circulant(n, 0, 1, 1), m,
                                          math.pi)
     product.spectrum.validate(product.matrix)
@@ -363,6 +362,18 @@ def test_one_way_8_transfer_chain():
     assert not periodic
 
 
+@pytest.mark.parametrize("theta", [math.sqrt(2), math.pi / 2])
+def test_one_way_8_matrix_is_p_lambda_p_star(theta):
+    # P is unitary, so P Lambda P* is the matrix; at pi/2 labels merge into
+    # blocks of two columns, stacked as given
+    fam = one_way_family_8(theta)
+    p = fam.spectrum.vectors
+    assert np.max(np.abs(p.conj().T @ p - np.eye(8))) <= 1e-15
+    thetas = np.repeat(fam.spectrum.eigenvalues, fam.spectrum.multiplicities)
+    assert np.max(np.abs(fam.matrix.array - (p * thetas) @ p.conj().T)) <= 1e-14
+    fam.spectrum.validate(fam.matrix)
+
+
 # --- family registry ---------------------------------------------------------------------------
 
 def test_build_family_names():
@@ -409,9 +420,16 @@ def test_only_looped_path_carries_a_lattice():
     bundle = build_family("looped-path", m=2)
     circ = upst_circulant(3, 0, 1, 1)
     product = rooted_looped_path_product(circ, 2, math.pi)
-    want = product.relation_superlattice()
     lattice = bundle.spectrum.lattice
-    assert (lattice.dim, lattice.generators) == (want.dim, want.generators)
+    assert (lattice.dim, lattice.generators) == (
+        product.spectrum.lattice.dim, product.spectrum.lattice.generators)
+    # the trace conditions: rank 2, and every generator kills both
+    thetas = [circ.thetas[j] for j in product.branches]
+    assert lattice.dim == 6 and len(lattice.generators) == 4
+    for g in lattice.generators:
+        assert sum(g) == 0 and sum(l * t for l, t in zip(g, thetas)) == 0
+    assert bundle.notes == product.notes
+    assert "assumed transcendental" in bundle.notes
     # a rational loop weight voids the trace-condition argument
     rational = build_family("looped-path", m=2, param=0.1)
     assert rational.spectrum.lattice is None and "is rational" in rational.notes
@@ -430,6 +448,8 @@ def test_only_looped_path_carries_a_lattice():
     ("star-product", {"m": 2}, [1, 1, 1, 3, 1, 1, 1]),
     ("star-product", {"m": 6}, [1, 1, 1, 15, 1, 1, 1]),
     ("looped-path", {"m": 2}, [1] * 6),
+    ("star-product", {"m": 27}, [1, 1, 1, 78, 1, 1, 1]),
+    ("looped-path", {"m": 4}, [1] * 12),
 ])
 def test_closed_form_matches_the_eigensolver(name, params, multiplicities):
     # a closed form has the eigensolver's multiplicities and eigenvalues,
@@ -458,19 +478,39 @@ def test_decomposition_is_the_closed_form_when_there_is_one():
         wrong.decomposition()
 
 
-def test_closed_form_merges_equal_labels_and_orthonormalizes():
-    # the blocks of columns 0 and 2 share a label and are not orthogonal
-    vectors = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=float)
+def test_closed_form_stacks_equal_labels_as_given():
+    # the blocks of columns 0 and 2 share a label: stacked column for
+    # column, bit for bit, in ascending label order
+    basis = np.array([[1, 0, 1], [0, 1j, 0], [1, 0, -1]]) / np.array([math.sqrt(2), 1, math.sqrt(2)])
     dec = SpectralDecomposition.closed_form([Surd(2), Surd(-1), Surd(2)],
-                                            np.hsplit(vectors, 3))
+                                            np.hsplit(basis, 3))
     assert dec.exact == [Surd(-1), Surd(2)]
     assert dec.multiplicities == [1, 2]
-    assert np.allclose(dec.block(1).conj().T @ dec.block(1), np.eye(2))
-    dec.validate(np.diag([2.0, -1.0, 2.0]))
+    assert np.array_equal(dec.vectors, basis[:, [1, 0, 2]])
+    dec.validate(dec.matrix())
+    # a stacked block that is not orthonormal is not repaired: validate
+    # refuses it
+    skew = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=float)
+    dec = SpectralDecomposition.closed_form([Surd(2), Surd(-1), Surd(2)],
+                                            np.hsplit(skew, 3))
+    assert np.array_equal(dec.block(1), skew[:, [0, 2]])
+    with pytest.raises(EigensolverFailure, match="eigenvectors are not orthonormal"):
+        dec.validate(np.diag([2.0, -1.0, 2.0]))
     # distinct labels that one float cannot tell apart are refused
     one = Surd.symbol(Transcendental("one", 1.0))
     with pytest.raises(ValueError, match="round to one float"):
         SpectralDecomposition.closed_form([Surd(1), one], np.hsplit(np.eye(2), 2))
+
+
+@pytest.mark.parametrize("dec", [
+    build_family("star-product", m=2).spectrum,
+    build_family("looped-path", m=2).spectrum,
+    spectral_decomposition(np.diag([1.0, 2.0, 2.0])),
+], ids=["closed-form", "looped-path", "eigensolve"])
+def test_decomposition_arrays_are_read_only(dec):
+    for arr in (dec.eigenvalues, dec.offsets, dec.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_build_family_spec_json():

@@ -636,6 +636,13 @@ def test_probe_budget():
         float_relation_probe([1.0], 51)
 
 
+@pytest.mark.parametrize("bound", [-1, -3, 51])
+def test_probe_refuses_a_bound_outside_0_to_50(bound):
+    # refused by name before the budget's log, which a negative bound breaks
+    with pytest.raises(ValueError, match=rf"^bound {bound} is outside 0\.\.50$"):
+        float_relation_probe([1.0], bound)
+
+
 # --- integer and mod-2 characteristic polynomials ----------------------------
 
 def test_charpoly_against_sympy_oracle():
